@@ -304,9 +304,10 @@ bool JumpThreadPass(PassState& state) {
 }
 
 // ---------------------------------------------------------------------------
-// peephole: superinstruction formation. Both fusions require that no
-// jump lands inside the fused range and that the intermediate registers
-// are dead afterwards (liveness is the proving fact).
+// peephole: superinstruction formation. The fusion requires that no
+// jump lands inside the fused range and that the intermediate register
+// is dead afterwards (liveness is the proving fact). (kCmpAttrConst is
+// not formed here: the assembler emits it directly.)
 
 bool PeepholePass(PassState& state) {
   Program& p = *state.program;
@@ -321,62 +322,6 @@ bool PeepholePass(PassState& state) {
   }
   std::vector<bool> dead(n, false);
   bool changed = false;
-
-  // load_attr + load_const + compare (either load order) -> kCmpAttrConst.
-  for (size_t pc = 0; pc + 2 < n; ++pc) {
-    if (dead[pc] || dead[pc + 1] || dead[pc + 2]) continue;
-    if (!cfg.Reachable(pc)) continue;
-    if (is_target[pc + 1] || is_target[pc + 2]) continue;
-    const Instruction& first = p.code[pc];
-    const Instruction& second = p.code[pc + 1];
-    const Instruction& cmp = p.code[pc + 2];
-    if (cmp.op != OpCode::kCompare) continue;
-    const Instruction* attr_load = nullptr;
-    const Instruction* const_load = nullptr;
-    if (first.op == OpCode::kLoadAttr && second.op == OpCode::kLoadConst) {
-      attr_load = &first;
-      const_load = &second;
-    } else if (first.op == OpCode::kLoadConst &&
-               second.op == OpCode::kLoadAttr) {
-      attr_load = &second;
-      const_load = &first;
-    } else {
-      continue;
-    }
-    const uint16_t attr_reg = attr_load->a;
-    const uint16_t const_reg = const_load->a;
-    if (attr_reg == const_reg) continue;
-    bool swapped;  // constant on the left of the comparison
-    if (cmp.b == attr_reg && cmp.c == const_reg) {
-      swapped = false;
-    } else if (cmp.b == const_reg && cmp.c == attr_reg) {
-      swapped = true;
-    } else {
-      continue;
-    }
-    // The loads' destinations must die with the compare (the compare's
-    // own destination may reuse one of them — the fused instruction
-    // still writes it).
-    if (attr_reg != cmp.a && live.LiveOut(pc + 2, attr_reg)) continue;
-    if (const_reg != cmp.a && live.LiveOut(pc + 2, const_reg)) continue;
-
-    Instruction fused;
-    fused.op = OpCode::kCmpAttrConst;
-    fused.a = cmp.a;
-    fused.b = attr_load->b;
-    fused.c = const_load->b;
-    fused.d =
-        static_cast<uint16_t>(cmp.d | (swapped ? nvm::kCmpFlagBit : 0));
-    p.code[pc] = fused;
-    dead[pc + 1] = true;
-    dead[pc + 2] = true;
-    LogEvent(state, "peephole", pc,
-             "liveness: r" + std::to_string(attr_reg) + ", r" +
-                 std::to_string(const_reg) + " are dead after pc " +
-                 std::to_string(pc + 2) +
-                 "; cfg: no jump enters the fused range");
-    changed = true;
-  }
 
   // compare + conditional jump -> kCmpBranch when the boolean result is
   // used only to branch.

@@ -17,8 +17,7 @@
 //   conversion-elim   kind-justified to_bool/to_num/to_str -> move
 //   jump-thread       jump chains, constant branch conditions,
 //                     jumps to the fall-through successor
-//   peephole          superinstruction formation: kCmpAttrConst
-//                     (load_attr + load_const + compare) and kCmpBranch
+//   peephole          superinstruction formation: kCmpBranch
 //                     (compare + conditional jump)
 //   dce               unreachable blocks + dead pure stores
 //

@@ -91,6 +91,7 @@ Status PreparedQuery::Execution::BindContext(storage::NodeId context) {
 void PreparedQuery::Execution::BeginStats() {
   tuples_baseline_ = context_->tuples_produced;
   nvm_baseline_ = context_->nvm_insns_retired;
+  strings_baseline_ = storage::ThreadStringValueCounters();
   // Coherent per-query baseline: with concurrent executions over a
   // striped pool, relaxed multi-counter reads could tear.
   buffer_baseline_ = obs::SnapshotBufferCounters(store_->buffer_manager());
@@ -100,6 +101,10 @@ void PreparedQuery::Execution::BeginStats() {
 void PreparedQuery::Execution::EndStats() {
   last_stats_.step_tuples = context_->tuples_produced - tuples_baseline_;
   last_stats_.nvm_insns = context_->nvm_insns_retired - nvm_baseline_;
+  const storage::StringValueCounters strings =
+      storage::ThreadStringValueCounters() - strings_baseline_;
+  last_stats_.string_values = strings.materializations;
+  last_stats_.string_value_bytes = strings.bytes;
   obs::BufferCounters now =
       obs::SnapshotBufferCounters(store_->buffer_manager());
   last_stats_.page_faults = now.page_reads - buffer_baseline_.page_reads;
@@ -111,6 +116,7 @@ void PreparedQuery::Execution::EndStats() {
         now.page_hits - buffer_baseline_.page_hits,
         now.page_writes - buffer_baseline_.page_writes,
         now.evictions - buffer_baseline_.evictions};
+    stats->strings() += strings;
     stats->RecordExecution();
   }
 

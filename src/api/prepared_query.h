@@ -24,6 +24,11 @@ struct ExecutionStats {
   uint64_t page_faults = 0;
   /// NVM bytecode instructions retired by subscript programs.
   uint64_t nvm_insns = 0;
+  /// String-values materialized from the store (NodeStore::StringValue
+  /// and ReadContent calls) and the bytes they copied. Comparisons
+  /// decided in place on the pages count none.
+  uint64_t string_values = 0;
+  uint64_t string_value_bytes = 0;
 };
 
 /// A prepared XPath query: the immutable product of the full compiler
@@ -224,6 +229,7 @@ class PreparedQuery::Execution {
   uint64_t nvm_baseline_ = 0;
   uint64_t exec_begin_ns_ = 0;
   obs::BufferCounters buffer_baseline_;
+  storage::StringValueCounters strings_baseline_;
 };
 
 }  // namespace natix

@@ -51,14 +51,46 @@ class AssemblerImpl {
     return reg;
   }
 
+  static bool IsLiteral(const Scalar& s) {
+    return s.kind == ScalarKind::kNumberConst ||
+           s.kind == ScalarKind::kStringConst ||
+           s.kind == ScalarKind::kBoolConst;
+  }
+
+  static Value LiteralValue(const Scalar& s) {
+    switch (s.kind) {
+      case ScalarKind::kNumberConst:
+        return Value::Number(s.number);
+      case ScalarKind::kStringConst:
+        return Value::String(s.string_value);
+      default:
+        return Value::Boolean(s.boolean);
+    }
+  }
+
+  /// A tuple attribute compared with a literal is one type-specialized
+  /// instruction: the VM decides node-vs-string (in)equality in place on
+  /// the buffer pages. The swap flag keeps the operand order for the
+  /// asymmetric operators.
+  StatusOr<uint16_t> EmitCmpAttrConst(const Scalar& cmp, const Scalar& attr,
+                                      const Scalar& literal, bool swapped) {
+    NATIX_ASSIGN_OR_RETURN(runtime::RegisterId attr_reg,
+                           resolve_attr_(attr.name));
+    program_.constants.push_back(LiteralValue(literal));
+    uint16_t reg = NewRegister();
+    EmitIns(OpCode::kCmpAttrConst, reg, static_cast<uint16_t>(attr_reg),
+            static_cast<uint16_t>(program_.constants.size() - 1),
+            static_cast<uint16_t>(static_cast<uint16_t>(cmp.cmp) |
+                                  (swapped ? kCmpFlagBit : 0)));
+    return reg;
+  }
+
   StatusOr<uint16_t> Emit(const Scalar& s) {
     switch (s.kind) {
       case ScalarKind::kNumberConst:
-        return EmitConst(Value::Number(s.number));
       case ScalarKind::kStringConst:
-        return EmitConst(Value::String(s.string_value));
       case ScalarKind::kBoolConst:
-        return EmitConst(Value::Boolean(s.boolean));
+        return EmitConst(LiteralValue(s));
       case ScalarKind::kAttrRef: {
         NATIX_ASSIGN_OR_RETURN(runtime::RegisterId attr,
                                resolve_attr_(s.name));
@@ -122,6 +154,16 @@ class AssemblerImpl {
         return out;
       }
       case ScalarKind::kCompare: {
+        if (IsLiteral(*s.children[1]) &&
+            s.children[0]->kind == ScalarKind::kAttrRef) {
+          return EmitCmpAttrConst(s, *s.children[0], *s.children[1],
+                                  /*swapped=*/false);
+        }
+        if (IsLiteral(*s.children[0]) &&
+            s.children[1]->kind == ScalarKind::kAttrRef) {
+          return EmitCmpAttrConst(s, *s.children[1], *s.children[0],
+                                  /*swapped=*/true);
+        }
         NATIX_ASSIGN_OR_RETURN(uint16_t lhs, Emit(*s.children[0]));
         NATIX_ASSIGN_OR_RETURN(uint16_t rhs, Emit(*s.children[1]));
         uint16_t reg = NewRegister();

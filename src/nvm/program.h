@@ -60,9 +60,10 @@ enum class OpCode : uint8_t {
   // Emitted only by the analysis-justified optimizer
   // (src/analysis/nvm_optimizer.h), never by the assembler:
   kMove,           // r[a] = r[b]
-  // Superinstruction fusing load_attr + load_const + compare. d bits 0-7
-  // encode the runtime::CompareOp; d bit 8 swaps the operand order
-  // (constant on the left).
+  // Emitted by the assembler for every compare of a tuple attribute with
+  // a literal. d bits 0-7 encode the runtime::CompareOp; d bit 8 swaps
+  // the operand order (constant on the left). A node compared for
+  // (in)equality with a string runs in place on the buffer pages.
   kCmpAttrConst,   // r[a] = tuple[b] <cmp d&0xFF> consts[c]
   // Superinstruction fusing compare + conditional jump. d bits 0-7
   // encode the CompareOp; d bit 8 is the branch sense (1: jump when the

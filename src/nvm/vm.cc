@@ -53,7 +53,10 @@ StatusOr<bool> LangMatches(const std::string& wanted, NodeRef context,
       storage::NodeRecord attr_record;
       NATIX_RETURN_IF_ERROR(ctx.store->ReadNode(attr, &attr_record));
       if (attr_record.name_id == xml_lang) {
-        std::string value = attr_record.inline_text;
+        std::string value = std::move(attr_record.inline_text);
+        if (attr_record.text_overflow) {
+          NATIX_ASSIGN_OR_RETURN(value, ctx.store->ReadContent(attr));
+        }
         // Case-insensitive compare; exact match or prefix before '-'.
         auto lower = [](std::string s) {
           for (char& c : s) {
@@ -72,6 +75,25 @@ StatusOr<bool> LangMatches(const std::string& wanted, NodeRef context,
     node = record.parent;
   }
   return false;
+}
+
+/// kCmpAttrConst: a node compared for (in)equality with a string
+/// constant is decided in place on the node's pages; every other pairing
+/// keeps the XPath 1.0 promotion rules of CompareAtomic.
+StatusOr<bool> CompareAttrConst(runtime::CompareOp op, bool swapped,
+                                const Value& attr, const Value& constant,
+                                const EvalContext& ctx) {
+  const bool equality =
+      op == runtime::CompareOp::kEq || op == runtime::CompareOp::kNe;
+  if (equality && attr.kind() == runtime::ValueKind::kNode &&
+      constant.kind() == runtime::ValueKind::kString) {
+    NATIX_ASSIGN_OR_RETURN(
+        bool equal, storage::NodeAccessor(ctx.store).StringValueEquals(
+                        attr.AsNode().node_id(), constant.AsString()));
+    return equal == (op == runtime::CompareOp::kEq);
+  }
+  return swapped ? runtime::CompareAtomic(op, constant, attr, ctx)
+                 : runtime::CompareAtomic(op, attr, constant, ctx);
 }
 
 StatusOr<NodeRef> RootOf(NodeRef node, const EvalContext& ctx) {
@@ -325,14 +347,11 @@ StatusOr<Value> Vm::Run(
         r[ins.a] = r[ins.b];
         break;
       case OpCode::kCmpAttrConst: {
-        const bool swapped = (ins.d & kCmpFlagBit) != 0;
-        const auto op = static_cast<runtime::CompareOp>(ins.d & 0xFF);
-        const Value& attr = tuple[ins.b];
-        const Value& constant = program_->constants[ins.c];
         NATIX_ASSIGN_OR_RETURN(
-            bool out, swapped
-                          ? runtime::CompareAtomic(op, constant, attr, ctx)
-                          : runtime::CompareAtomic(op, attr, constant, ctx));
+            bool out,
+            CompareAttrConst(static_cast<runtime::CompareOp>(ins.d & 0xFF),
+                             (ins.d & kCmpFlagBit) != 0, tuple[ins.b],
+                             program_->constants[ins.c], ctx));
         r[ins.a] = Value::Boolean(out);
         break;
       }

@@ -83,16 +83,10 @@ uint64_t OpStats::exclusive_ns() const {
   return Saturating(inclusive_ns, child_ns);
 }
 
-uint64_t OpStats::exclusive_page_reads() const {
+uint64_t OpStats::Exclusive(uint64_t OpStats::* field) const {
   uint64_t child = 0;
-  for (const OpStats* c : children) child += c->inclusive_page_reads;
-  return Saturating(inclusive_page_reads, child);
-}
-
-uint64_t OpStats::exclusive_page_hits() const {
-  uint64_t child = 0;
-  for (const OpStats* c : children) child += c->inclusive_page_hits;
-  return Saturating(inclusive_page_hits, child);
+  for (const OpStats* c : children) child += c->*field;
+  return Saturating(this->*field, child);
 }
 
 OpStats* QueryStats::NewOp(std::string label) {
@@ -156,12 +150,16 @@ void RenderNode(const OpStats& op, int depth, std::string* out) {
     AppendCounter(out, "agg_input", op.agg_input);
   }
   if (op.early_exits > 0) AppendCounter(out, "early_exits", op.early_exits);
+  if (op.exclusive_string_values() > 0) {
+    AppendCounter(out, "string_values", op.exclusive_string_values());
+    AppendCounter(out, "string_bytes", op.exclusive_string_bytes());
+  }
   *out += ")\n";
   for (const OpStats* c : op.children) RenderNode(*c, depth + 1, out);
 }
 
 void JsonNode(const OpStats& op, std::string* out) {
-  char buf[512];
+  char buf[640];
   std::snprintf(
       buf, sizeof(buf),
       "{\"label\":\"%s\",\"nested\":%s,\"open\":%" PRIu64
@@ -172,13 +170,15 @@ void JsonNode(const OpStats& op, std::string* out) {
       ",\"spooled\":%" PRIu64 ",\"replayed\":%" PRIu64 ",\"groups\":%" PRIu64
       ",\"cache_hits\":%" PRIu64 ",\"cache_misses\":%" PRIu64
       ",\"agg_evals\":%" PRIu64 ",\"agg_input\":%" PRIu64
-      ",\"early_exits\":%" PRIu64 ",\"children\":[",
+      ",\"early_exits\":%" PRIu64 ",\"string_values\":%" PRIu64
+      ",\"string_bytes\":%" PRIu64 ",\"children\":[",
       JsonEscape(op.label).c_str(), op.nested ? "true" : "false",
       op.open_calls, op.next_calls, op.close_calls, op.tuples,
       op.inclusive_ns, op.exclusive_ns(), op.exclusive_page_reads(),
       op.exclusive_page_hits(), op.memo_hits, op.memo_misses,
       op.spooled_rows, op.replayed_rows, op.groups, op.cache_hits,
-      op.cache_misses, op.agg_evals, op.agg_input, op.early_exits);
+      op.cache_misses, op.agg_evals, op.agg_input, op.early_exits,
+      op.exclusive_string_values(), op.exclusive_string_bytes());
   *out += buf;
   for (size_t i = 0; i < op.children.size(); ++i) {
     if (i > 0) *out += ",";
@@ -202,19 +202,26 @@ std::string QueryStats::RenderAnalyze() const {
                 buffer_.page_reads, buffer_.page_hits, buffer_.page_writes,
                 buffer_.evictions);
   out += buf;
+  std::snprintf(buf, sizeof(buf),
+                "strings: materializations=%" PRIu64 " bytes=%" PRIu64 "\n",
+                strings_.materializations, strings_.bytes);
+  out += buf;
   return out;
 }
 
 std::string QueryStats::ToJson() const {
   std::string out;
-  char buf[200];
+  char buf[280];
   std::snprintf(buf, sizeof(buf),
                 "{\"executions\":%" PRIu64
                 ",\"buffer\":{\"page_reads\":%" PRIu64
                 ",\"page_hits\":%" PRIu64 ",\"page_writes\":%" PRIu64
-                ",\"evictions\":%" PRIu64 "},\"plan\":",
+                ",\"evictions\":%" PRIu64
+                "},\"strings\":{\"materializations\":%" PRIu64
+                ",\"bytes\":%" PRIu64 "},\"plan\":",
                 executions_, buffer_.page_reads, buffer_.page_hits,
-                buffer_.page_writes, buffer_.evictions);
+                buffer_.page_writes, buffer_.evictions,
+                strings_.materializations, strings_.bytes);
   out += buf;
   if (root_ == nullptr) {
     out += "null";
@@ -233,12 +240,14 @@ void QueryStats::Reset() {
     op.tuples = 0;
     op.inclusive_ns = 0;
     op.inclusive_page_reads = op.inclusive_page_hits = 0;
+    op.inclusive_string_values = op.inclusive_string_bytes = 0;
     op.memo_hits = op.memo_misses = 0;
     op.spooled_rows = op.replayed_rows = op.groups = 0;
     op.cache_hits = op.cache_misses = 0;
     op.agg_evals = op.agg_input = op.early_exits = 0;
   }
   buffer_ = BufferCounters{};
+  strings_ = storage::StringValueCounters{};
   executions_ = 0;
 }
 
@@ -250,7 +259,9 @@ const OpStats* QueryStats::FindOp(const std::string& prefix) const {
 }
 
 ScopedOpTimer::ScopedOpTimer(OpStats* stats)
-    : stats_(stats), begin_(std::chrono::steady_clock::now()) {
+    : stats_(stats),
+      begin_(std::chrono::steady_clock::now()),
+      strings_begin_(storage::ThreadStringValueCounters()) {
   if (stats_->buffer != nullptr) {
     buffer_begin_ = CaptureBufferCounters(stats_->buffer);
   }
@@ -266,6 +277,10 @@ ScopedOpTimer::~ScopedOpTimer() {
     stats_->inclusive_page_reads += now.page_reads - buffer_begin_.page_reads;
     stats_->inclusive_page_hits += now.page_hits - buffer_begin_.page_hits;
   }
+  storage::StringValueCounters strings =
+      storage::ThreadStringValueCounters() - strings_begin_;
+  stats_->inclusive_string_values += strings.materializations;
+  stats_->inclusive_string_bytes += strings.bytes;
 }
 
 }  // namespace natix::obs

@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "storage/string_value_counters.h"
+
 // Compile-time kill switch for the whole observability layer: with
 // NATIX_OBS_DISABLED defined (cmake -DNATIX_OBS=OFF) every
 // instrumentation site compiles to nothing and the per-call null check
@@ -72,6 +74,9 @@ struct OpStats {
   uint64_t inclusive_ns = 0;
   uint64_t inclusive_page_reads = 0;
   uint64_t inclusive_page_hits = 0;
+  /// String-values built from the store (storage::StringValueCounters).
+  uint64_t inclusive_string_values = 0;
+  uint64_t inclusive_string_bytes = 0;
 
   // -- operator-family counters (zero when not applicable) --
   uint64_t memo_hits = 0;       ///< MemoX: evaluations replayed
@@ -94,8 +99,25 @@ struct OpStats {
   /// Time in this operator minus time in its children.
   uint64_t exclusive_ns() const;
   /// Page I/O issued by this operator itself (children subtracted).
-  uint64_t exclusive_page_reads() const;
-  uint64_t exclusive_page_hits() const;
+  uint64_t exclusive_page_reads() const {
+    return Exclusive(&OpStats::inclusive_page_reads);
+  }
+  uint64_t exclusive_page_hits() const {
+    return Exclusive(&OpStats::inclusive_page_hits);
+  }
+  /// String-values this operator itself materialized.
+  uint64_t exclusive_string_values() const {
+    return Exclusive(&OpStats::inclusive_string_values);
+  }
+  uint64_t exclusive_string_bytes() const {
+    return Exclusive(&OpStats::inclusive_string_bytes);
+  }
+
+ private:
+  /// `field` minus the children's, saturating at zero (timer and
+  /// counter captures of nested spans can make a child exceed its
+  /// parent).
+  uint64_t Exclusive(uint64_t OpStats::* field) const;
 };
 
 /// Plan-wide sums used by benchmarks and quick assertions.
@@ -135,6 +157,11 @@ class QueryStats {
   BufferCounters& buffer() { return buffer_; }
   const BufferCounters& buffer() const { return buffer_; }
 
+  /// String-value materialization deltas summed over all evaluations
+  /// (maintained alongside buffer()).
+  storage::StringValueCounters& strings() { return strings_; }
+  const storage::StringValueCounters& strings() const { return strings_; }
+
   uint64_t executions() const { return executions_; }
   void RecordExecution() { ++executions_; }
 
@@ -162,10 +189,12 @@ class QueryStats {
   std::deque<OpStats> ops_;
   OpStats* root_ = nullptr;
   BufferCounters buffer_;
+  storage::StringValueCounters strings_;
   uint64_t executions_ = 0;
 };
 
-/// RAII span accumulating wall time and page I/O into an OpStats node.
+/// RAII span accumulating wall time, page I/O and string-value
+/// materializations into an OpStats node.
 /// Constructed only on the instrumented path (stats != nullptr).
 class ScopedOpTimer {
  public:
@@ -179,6 +208,7 @@ class ScopedOpTimer {
   OpStats* stats_;
   std::chrono::steady_clock::time_point begin_;
   BufferCounters buffer_begin_;
+  storage::StringValueCounters strings_begin_;
 };
 
 }  // namespace natix::obs

@@ -138,8 +138,12 @@ IdDerefIterator::IndexFor(NodeRef node) {
         storage::NodeRecord attr_record;
         NATIX_RETURN_IF_ERROR(store->ReadNode(attr, &attr_record));
         if (attr_record.name_id == id_name) {
+          std::string value = std::move(attr_record.inline_text);
+          if (attr_record.text_overflow) {
+            NATIX_ASSIGN_OR_RETURN(value, store->ReadContent(attr));
+          }
           // The first element wins for duplicate ids.
-          index.emplace(attr_record.inline_text, element);
+          index.emplace(std::move(value), element);
           break;
         }
         attr = attr_record.next_sibling;

@@ -397,6 +397,7 @@ HttpResponse Server::HandleQuery(const HttpRequest& request) {
     }
   } release{this};
   metrics.requests_in_flight.Add();
+  if (options_.on_admitted) options_.on_admitted();
 
   // Prepare (plan cache keyed on text + options, so each distinct limit
   // is its own plan) and execute under the request's deadline.

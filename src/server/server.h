@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <mutex>
 #include <condition_variable>
+#include <functional>
 #include <string>
 #include <thread>
 #include <unordered_set>
@@ -61,6 +62,10 @@ struct ServerOptions {
   /// Instantiate executions with per-operator stats so slow-query log
   /// entries carry EXPLAIN ANALYZE trees (costs per-next counters).
   bool collect_stats = false;
+  /// Test hook: runs on the request's thread right after the request
+  /// takes an execution slot, before its query is prepared. Tests use it
+  /// to hold the slot for as long as they need. Empty by default.
+  std::function<void()> on_admitted;
 };
 
 /// The daemon. Start() spawns the acceptor; Shutdown() cancels in-

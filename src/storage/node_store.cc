@@ -87,6 +87,12 @@ bool ReadU64(std::string_view blob, size_t* pos, uint64_t* v) {
   return true;
 }
 
+void CountMaterialization(size_t bytes) {
+  StringValueCounters& counters = ThreadStringValueCounters();
+  ++counters.materializations;
+  counters.bytes += bytes;
+}
+
 void DecodeHeader(const uint8_t* p, NodeHeader* header) {
   header->kind = static_cast<StoredNodeKind>(p[kOffKind]);
   std::memcpy(&header->name_id, p + kOffNameId, 4);
@@ -365,15 +371,10 @@ Status NodeStore::ReadNode(NodeId node, NodeRecord* record) const {
   record->next_sibling = DecodeLink(p + kOffNextSibling);
   record->prev_sibling = DecodeLink(p + kOffPrevSibling);
   record->first_attr = DecodeLink(p + kOffFirstAttr);
-  uint32_t content_len;
-  std::memcpy(&content_len, p + kOffContentLen, 4);
   record->inline_text.clear();
-  record->overflow_head = kInvalidNodeId;
-  record->overflow_length = 0;
-  if (overflow) {
-    record->overflow_head = DecodeLink(p + kFixedSize);
-    record->overflow_length = content_len;
-  } else {
+  if (!overflow) {
+    uint32_t content_len;
+    std::memcpy(&content_len, p + kOffContentLen, 4);
     record->inline_text.assign(reinterpret_cast<const char*>(p + kFixedSize),
                                content_len);
   }
@@ -381,58 +382,16 @@ Status NodeStore::ReadNode(NodeId node, NodeRecord* record) const {
 }
 
 StatusOr<std::string> NodeStore::ReadContent(NodeId node) const {
-  NodeRecord record;
-  NATIX_RETURN_IF_ERROR(ReadNode(node, &record));
-  if (!record.text_overflow) return std::move(record.inline_text);
   std::string out;
-  out.reserve(record.overflow_length);
-  NodeId chunk = record.overflow_head;
-  while (chunk.valid()) {
-    NATIX_ASSIGN_OR_RETURN(PageHandle page, buffer_->FixPage(chunk.page));
-    auto [p, size] = SlottedPage::Read(page.data(), chunk.slot);
-    if (size < kChunkHeaderSize) return Status::Corruption("short chunk");
-    NodeId next = DecodeLink(p);
-    out.append(reinterpret_cast<const char*>(p + kChunkHeaderSize),
-               size - kChunkHeaderSize);
-    chunk = next;
-  }
+  NATIX_RETURN_IF_ERROR(NodeAccessor(this).AppendContent(node, &out));
+  CountMaterialization(out.size());
   return out;
 }
 
 StatusOr<std::string> NodeStore::StringValue(NodeId node) const {
-  NodeRecord record;
-  NATIX_RETURN_IF_ERROR(ReadNode(node, &record));
-  if (record.kind != StoredNodeKind::kElement &&
-      record.kind != StoredNodeKind::kDocument) {
-    return ReadContent(node);
-  }
-  // Concatenate descendant text nodes via an explicit traversal.
   std::string out;
-  NodeId current = record.first_child;
-  std::vector<NodeId> stack;
-  while (current.valid() || !stack.empty()) {
-    if (!current.valid()) {
-      current = stack.back();
-      stack.pop_back();
-      continue;
-    }
-    NodeRecord r;
-    NATIX_RETURN_IF_ERROR(ReadNode(current, &r));
-    if (r.kind == StoredNodeKind::kText) {
-      if (r.text_overflow) {
-        NATIX_ASSIGN_OR_RETURN(std::string chunked, ReadContent(current));
-        out += chunked;
-      } else {
-        out += r.inline_text;
-      }
-    }
-    if (r.kind == StoredNodeKind::kElement && r.first_child.valid()) {
-      if (r.next_sibling.valid()) stack.push_back(r.next_sibling);
-      current = r.first_child;
-    } else {
-      current = r.next_sibling;
-    }
-  }
+  NATIX_RETURN_IF_ERROR(NodeAccessor(this).AppendStringValue(node, &out));
+  CountMaterialization(out.size());
   return out;
 }
 
@@ -442,6 +401,28 @@ Status NodeStore::ReadHeader(NodeId node, NodeHeader* header) const {
   auto [p, size] = SlottedPage::Read(page.data(), node.slot);
   if (size < kFixedSize) return Status::Corruption("short node record");
   DecodeHeader(p, header);
+  return Status::OK();
+}
+
+StringValueCounters& ThreadStringValueCounters() {
+  thread_local StringValueCounters counters;
+  return counters;
+}
+
+Status NodeAccessor::FixRecord(NodeId id, size_t min_size,
+                               const uint8_t** record, size_t* size) {
+  if (!id.valid()) return Status::InvalidArgument("invalid node id");
+  if (!cached_.valid() || cached_.page_id() != id.page) {
+    // Unpin first: a walk never holds two frames, which matters in
+    // small pools where every pinned frame is one fewer to evict.
+    cached_.Release();
+    NATIX_ASSIGN_OR_RETURN(
+        cached_, store_->buffer_manager_for_accessor()->FixPage(id.page));
+  }
+  auto [p, n] = SlottedPage::Read(cached_.data(), id.slot);
+  if (n < min_size) return Status::Corruption("short record");
+  *record = p;
+  *size = n;
   return Status::OK();
 }
 
@@ -455,6 +436,113 @@ Status NodeAccessor::ReadHeader(NodeId node, NodeHeader* header) {
   if (size < kFixedSize) return Status::Corruption("short node record");
   DecodeHeader(p, header);
   return Status::OK();
+}
+
+template <typename Visit>
+Status NodeAccessor::VisitContent(const uint8_t* record, size_t size,
+                                  Visit& visit, bool* more) {
+  uint32_t content_len = 0;
+  std::memcpy(&content_len, record + kOffContentLen, 4);
+  if ((record[kOffFlags] & kFlagOverflow) == 0) {
+    if (size - kFixedSize < content_len) {
+      return Status::Corruption("node content past its record");
+    }
+    *more = visit(std::string_view(
+        reinterpret_cast<const char*>(record + kFixedSize), content_len));
+    return Status::OK();
+  }
+  if (size < kFixedSize + kChunkHeaderSize) {
+    return Status::Corruption("short node record");
+  }
+  NodeId chunk = DecodeLink(record + kFixedSize);
+  *more = true;
+  while (*more && chunk.valid()) {
+    const uint8_t* p = nullptr;
+    size_t chunk_size = 0;
+    NATIX_RETURN_IF_ERROR(
+        FixRecord(chunk, kChunkHeaderSize, &p, &chunk_size));
+    chunk = DecodeLink(p);
+    *more = visit(std::string_view(
+        reinterpret_cast<const char*>(p + kChunkHeaderSize),
+        chunk_size - kChunkHeaderSize));
+  }
+  return Status::OK();
+}
+
+template <typename Visit>
+Status NodeAccessor::VisitStringValue(NodeId node, Visit& visit) {
+  const uint8_t* p = nullptr;
+  size_t size = 0;
+  NATIX_RETURN_IF_ERROR(FixRecord(node, kFixedSize, &p, &size));
+  auto kind = static_cast<StoredNodeKind>(p[kOffKind]);
+  bool more = true;
+  if (kind != StoredNodeKind::kElement &&
+      kind != StoredNodeKind::kDocument) {
+    return VisitContent(p, size, visit, &more);
+  }
+  // Descendant text nodes in document order, by an explicit traversal
+  // that keeps the pending next-siblings on a stack.
+  NodeId current = DecodeLink(p + kOffFirstChild);
+  std::vector<NodeId> stack;
+  while (more && (current.valid() || !stack.empty())) {
+    if (!current.valid()) {
+      current = stack.back();
+      stack.pop_back();
+      continue;
+    }
+    NATIX_RETURN_IF_ERROR(FixRecord(current, kFixedSize, &p, &size));
+    kind = static_cast<StoredNodeKind>(p[kOffKind]);
+    // Decoded before the content visit, which may re-pin.
+    NodeId first_child = DecodeLink(p + kOffFirstChild);
+    NodeId next_sibling = DecodeLink(p + kOffNextSibling);
+    if (kind == StoredNodeKind::kText) {
+      NATIX_RETURN_IF_ERROR(VisitContent(p, size, visit, &more));
+    }
+    if (kind == StoredNodeKind::kElement && first_child.valid()) {
+      if (next_sibling.valid()) stack.push_back(next_sibling);
+      current = first_child;
+    } else {
+      current = next_sibling;
+    }
+  }
+  return Status::OK();
+}
+
+StatusOr<bool> NodeAccessor::StringValueEquals(NodeId node,
+                                               std::string_view value) {
+  size_t matched = 0;
+  bool mismatch = false;
+  auto visit = [&](std::string_view piece) {
+    if (piece.size() > value.size() - matched ||
+        value.substr(matched, piece.size()) != piece) {
+      mismatch = true;
+      return false;
+    }
+    matched += piece.size();
+    return true;
+  };
+  NATIX_RETURN_IF_ERROR(VisitStringValue(node, visit));
+  return !mismatch && matched == value.size();
+}
+
+Status NodeAccessor::AppendContent(NodeId node, std::string* out) {
+  const uint8_t* p = nullptr;
+  size_t size = 0;
+  NATIX_RETURN_IF_ERROR(FixRecord(node, kFixedSize, &p, &size));
+  auto append = [out](std::string_view piece) {
+    out->append(piece);
+    return true;
+  };
+  bool more = true;
+  return VisitContent(p, size, append, &more);
+}
+
+Status NodeAccessor::AppendStringValue(NodeId node, std::string* out) {
+  auto append = [out](std::string_view piece) {
+    out->append(piece);
+    return true;
+  };
+  return VisitStringValue(node, append);
 }
 
 Status NodeStore::AddDocument(const DocumentInfo& info) {

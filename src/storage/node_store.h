@@ -12,6 +12,7 @@
 #include "storage/buffer_manager.h"
 #include "storage/name_dictionary.h"
 #include "storage/paged_file.h"
+#include "storage/string_value_counters.h"
 
 namespace natix::storage {
 
@@ -83,9 +84,6 @@ struct NodeRecord {
   /// Inline content (attribute value, text, comment, PI data) — filled
   /// only when !text_overflow; otherwise use NodeStore::ReadContent.
   std::string inline_text;
-  /// Overflow chain head + total length when text_overflow.
-  NodeId overflow_head;
-  uint32_t overflow_length = 0;
 };
 
 /// A document registered in the store catalog.
@@ -202,9 +200,9 @@ class NodeStore {
 };
 
 /// A read-through accessor that keeps the most recently touched page
-/// pinned, so chains of header reads along sibling/child links (the axis
-/// cursor hot path) skip the buffer-manager lookup while they stay on one
-/// page.
+/// pinned, so chains of record reads along sibling/child links (the axis
+/// cursor hot path, the string-value walk) skip the buffer-manager lookup
+/// while they stay on one page.
 class NodeAccessor {
  public:
   NodeAccessor() = default;
@@ -212,7 +210,36 @@ class NodeAccessor {
 
   Status ReadHeader(NodeId node, NodeHeader* header);
 
+  /// Whether the XPath string-value of `node` equals `value`, decided in
+  /// place on the buffer pages: each inline text piece is compared with
+  /// the next slice of `value` and the walk stops at the first mismatch.
+  /// Nothing is copied. Same result as StringValue(node) == value.
+  StatusOr<bool> StringValueEquals(NodeId node, std::string_view value);
+
+  /// Appends the node's own content (see NodeStore::ReadContent).
+  Status AppendContent(NodeId node, std::string* out);
+  /// Appends the node's XPath string-value (see NodeStore::StringValue).
+  Status AppendStringValue(NodeId node, std::string* out);
+
  private:
+  /// Pins the page of record `id` (re-fixing only when it is not the
+  /// cached page) and returns the record's bytes, valid until the next
+  /// call. Corruption when the record is shorter than `min_size`.
+  Status FixRecord(NodeId id, size_t min_size, const uint8_t** record,
+                   size_t* size);
+  /// Feeds the content of the node record `record` to `visit` piece by
+  /// piece: the inline bytes, or each overflow chunk. `visit` returns
+  /// false to stop the walk; `*more` reports whether it did not. Overflow
+  /// chunks re-pin, so `record` is invalid afterwards.
+  template <typename Visit>
+  Status VisitContent(const uint8_t* record, size_t size, Visit& visit,
+                      bool* more);
+  /// Feeds the string-value of `node` to `visit`: its own content, or
+  /// for elements and documents the content of every descendant text
+  /// node in document order.
+  template <typename Visit>
+  Status VisitStringValue(NodeId node, Visit& visit);
+
   const NodeStore* store_ = nullptr;
   PageHandle cached_;
 };

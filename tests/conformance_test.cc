@@ -21,8 +21,12 @@
 namespace natix {
 namespace {
 
-/// Deterministic random XML generator.
-std::string RandomDocument(uint32_t seed) {
+/// Deterministic random XML generator: `top_level` random trees under
+/// <root>. `text_pad` lengthens every text node by `text_pad` bytes per
+/// unit of its digit without changing the structure, so a large pad
+/// pushes text into overflow chains and the document over many pages.
+std::string RandomDocument(uint32_t seed, size_t text_pad = 0,
+                           int top_level = 3) {
   std::mt19937 rng(seed);
   const char* names[] = {"a", "b", "c", "d"};
   std::uniform_int_distribution<int> name_dist(0, 3);
@@ -48,7 +52,9 @@ std::string RandomDocument(uint32_t seed) {
       if (kind < 6) {
         emit(depth + 1);
       } else if (kind < 8) {
-        out += "t" + std::to_string(kind_dist(rng));
+        int digit = kind_dist(rng);
+        out += "t" + std::to_string(digit) +
+               std::string(text_pad * static_cast<size_t>(digit), '.');
       } else if (kind == 8) {
         out += "<!--c-->";
       } else {
@@ -60,7 +66,7 @@ std::string RandomDocument(uint32_t seed) {
     out += ">";
   };
   out += "<root>";
-  for (int i = 0; i < 3; ++i) emit(1);
+  for (int i = 0; i < top_level; ++i) emit(1);
   out += "</root>";
   return out;
 }
@@ -152,13 +158,17 @@ std::string RenderInterp(const interp::Object& v) {
 
 class ConformanceTest : public ::testing::TestWithParam<uint32_t> {};
 
-TEST_P(ConformanceTest, FourEvaluatorsAgree) {
-  std::string xml = RandomDocument(GetParam());
-
-  auto db = Database::CreateTemp();
+/// Runs the corpus over `xml` through all four evaluators on a database
+/// with the given buffer pool. `*query_evictions` receives the pool's
+/// evictions during the queries (loading excluded).
+void RunCorpus(const std::string& xml, const Database::Options& pool,
+               uint64_t* query_evictions) {
+  auto db = Database::CreateTemp(pool);
   ASSERT_TRUE(db.ok());
   auto info = (*db)->LoadDocument("doc", xml);
   ASSERT_TRUE(info.ok()) << info.status().ToString();
+  const storage::BufferManager* buffer = (*db)->store()->buffer_manager();
+  const uint64_t evictions_after_load = buffer->eviction_count();
 
   auto dom_doc = dom::ParseDocument(xml);
   ASSERT_TRUE(dom_doc.ok());
@@ -228,6 +238,25 @@ TEST_P(ConformanceTest, FourEvaluatorsAgree) {
           << " translation diverges on " << query << "\ndocument: " << xml;
     }
   }
+  *query_evictions = buffer->eviction_count() - evictions_after_load;
+}
+
+TEST_P(ConformanceTest, FourEvaluatorsAgree) {
+  uint64_t evictions = 0;
+  RunCorpus(RandomDocument(GetParam()), Database::Options(), &evictions);
+}
+
+// The same corpus on the smallest valid pool (16 pages over 2 shards).
+// Larger documents whose text runs into overflow chains do not fit the
+// pool, so the string-value walks and axis cursors re-fix evicted pages.
+TEST_P(ConformanceTest, FourEvaluatorsAgreeOnSmallPool) {
+  Database::Options pool;
+  pool.buffer_pages = 16;
+  pool.buffer_shards = 2;
+  uint64_t evictions = 0;
+  RunCorpus(RandomDocument(GetParam(), /*text_pad=*/4500, /*top_level=*/12),
+            pool, &evictions);
+  EXPECT_GT(evictions, 0u) << "the document fits the pool";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ConformanceTest,

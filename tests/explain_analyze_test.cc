@@ -81,6 +81,7 @@ TEST(ExplainAnalyzeGoldenTest, Fig6Query1) {
               Map[c1 := root*(cn)] {card:1, ord:doc(c1), dup-free(c1), non-nested(c1), class:root} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
                 SingletonScan (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
 buffer: page_reads=_ page_hits=_ page_writes=_ evictions=_
+strings: materializations=_ bytes=_
 )");
 }
 
@@ -97,6 +98,7 @@ TEST(ExplainAnalyzeGoldenTest, Fig7Query2) {
               Map[c1 := root*(cn)] {card:1, ord:doc(c1), dup-free(c1), non-nested(c1), class:root} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
                 SingletonScan (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
 buffer: page_reads=_ page_hits=_ page_writes=_ evictions=_
+strings: materializations=_ bytes=_
 )");
 }
 
@@ -113,6 +115,7 @@ TEST(ExplainAnalyzeGoldenTest, Fig8Query3) {
               Map[c1 := root*(cn)] {card:1, ord:doc(c1), dup-free(c1), non-nested(c1), class:root} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
                 SingletonScan (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
 buffer: page_reads=_ page_hits=_ page_writes=_ evictions=_
+strings: materializations=_ bytes=_
 )");
 }
 
@@ -129,6 +132,7 @@ TEST(ExplainAnalyzeGoldenTest, Fig9Query4) {
               Map[c1 := root*(cn)] {card:1, ord:doc(c1), dup-free(c1), non-nested(c1), class:root} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
                 SingletonScan (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
 buffer: page_reads=_ page_hits=_ page_writes=_ evictions=_
+strings: materializations=_ bytes=_
 )");
 }
 
@@ -151,6 +155,7 @@ TEST(ExplainAnalyzeGoldenTest, Fig10DblpPositional) {
             Map[c1 := root*(cn)] {card:1, ord:doc(c1), dup-free(c1), non-nested(c1), class:root} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
               SingletonScan (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
 buffer: page_reads=_ page_hits=_ page_writes=_ evictions=_
+strings: materializations=_ bytes=_
 )");
 }
 

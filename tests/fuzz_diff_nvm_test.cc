@@ -8,7 +8,7 @@
 // shows up as a divergence.
 //
 // The query generator is biased toward what the optimizer acts on:
-// comparisons of attributes against literals (cmp_attr_const fusion),
+// comparisons of attributes against literals (cmp_attr_const),
 // constant arithmetic and string subexpressions (const-fold), chained
 // conversions (conversion-elim), and short-circuit logicals (jump
 // threading over the assembler's branch scaffolding).
@@ -105,7 +105,7 @@ class NvmQueryGen {
     }
   }
 
-  /// Predicates shaped for the peephole and const-fold passes.
+  /// Predicates shaped for cmp_attr_const and the optimizer passes.
   std::string Predicate() {
     std::string cmp = Pick({"=", "!=", "<", "<=", ">", ">="});
     switch (Int(10)) {

@@ -317,47 +317,6 @@ TEST(NvmOptimizerTest, JumpThreadResolvesConstantBranch) {
   EXPECT_TRUE(v->AsBoolean());
 }
 
-TEST(NvmOptimizerTest, PeepholeFusesCmpAttrConst) {
-  auto p = MakeProgram(
-      {Ins(OpCode::kLoadAttr, 0, 0), Ins(OpCode::kLoadConst, 1, 0),
-       Ins(OpCode::kCompare, 2, 0, 1,
-           static_cast<uint16_t>(runtime::CompareOp::kEq)),
-       Ins(OpCode::kHalt, 2)},
-      3, {Value::String("x")});
-  algebra::RewriteLog log = Optimize(&p, /*tuple_register_count=*/1);
-  ASSERT_EQ(p.code.size(), 2u);
-  EXPECT_EQ(p.code[0].op, OpCode::kCmpAttrConst);
-  EXPECT_TRUE(LogHasRule(log, "nvm:peephole"));
-  auto hit = RunProgram(p, {Value::String("x")});
-  ASSERT_TRUE(hit.ok());
-  EXPECT_TRUE(hit->AsBoolean());
-  auto miss = RunProgram(p, {Value::String("y")});
-  ASSERT_TRUE(miss.ok());
-  EXPECT_FALSE(miss->AsBoolean());
-}
-
-TEST(NvmOptimizerTest, PeepholeFusedCompareKeepsOperandOrder) {
-  // The constant loads first and sits on the left of a < — the fused
-  // instruction must preserve the asymmetric comparison via the swap
-  // flag.
-  auto p = MakeProgram(
-      {Ins(OpCode::kLoadConst, 1, 0), Ins(OpCode::kLoadAttr, 0, 0),
-       Ins(OpCode::kCompare, 2, 1, 0,
-           static_cast<uint16_t>(runtime::CompareOp::kLt)),
-       Ins(OpCode::kHalt, 2)},
-      3, {Value::Number(5)});
-  Optimize(&p, /*tuple_register_count=*/1);
-  ASSERT_EQ(p.code.size(), 2u);
-  ASSERT_EQ(p.code[0].op, OpCode::kCmpAttrConst);
-  EXPECT_NE(p.code[0].d & nvm::kCmpFlagBit, 0);  // constant on the left
-  auto lt = RunProgram(p, {Value::Number(7)});   // 5 < 7
-  ASSERT_TRUE(lt.ok());
-  EXPECT_TRUE(lt->AsBoolean());
-  auto ge = RunProgram(p, {Value::Number(3)});   // 5 < 3 is false
-  ASSERT_TRUE(ge.ok());
-  EXPECT_FALSE(ge->AsBoolean());
-}
-
 TEST(NvmOptimizerTest, PeepholeFusesCmpBranch) {
   auto p = MakeProgram(
       {Ins(OpCode::kLoadAttr, 0, 0), Ins(OpCode::kLoadAttr, 1, 1),

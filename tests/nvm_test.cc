@@ -124,6 +124,20 @@ StatusOr<Value> Evaluate(const Scalar& scalar, const Value& tuple_value,
                 });
 }
 
+/// Compiles a scalar whose only attribute is "attr0" (tuple register 0).
+Program CompileAttr0(const Scalar& scalar) {
+  AttrResolver resolver =
+      [](const std::string&) -> StatusOr<runtime::RegisterId> {
+    return runtime::RegisterId{0};
+  };
+  NestedRegistrar registrar = [](const Scalar&) -> StatusOr<size_t> {
+    return Status::Internal("no nested plans in this test");
+  };
+  auto program = CompileScalar(scalar, resolver, registrar);
+  NATIX_CHECK(program.ok());
+  return std::move(program).value();
+}
+
 double EvalNumber(ScalarPtr s) {
   auto v = Evaluate(*s, Value());
   NATIX_CHECK(v.ok());
@@ -266,6 +280,49 @@ TEST(NvmTest, NumberFunctions) {
   EXPECT_EQ(EvalNumber(Call(FunctionId::kCeiling, MakeVector(Num(2.2)))), 3);
   EXPECT_EQ(EvalNumber(Call(FunctionId::kRound, MakeVector(Num(2.5)))), 3);
   EXPECT_EQ(EvalNumber(Call(FunctionId::kRound, MakeVector(Num(-2.5)))), -2);
+}
+
+TEST(NvmAssemblerTest, EmitsCmpAttrConstForAttrVsLiteral) {
+  using runtime::CompareOp;
+  // Attribute against a literal, either side: one instruction, no loads.
+  for (bool literal_left : {false, true}) {
+    ScalarPtr expr = literal_left
+                         ? Compare(CompareOp::kEq, Str("x"), AttrRef("attr0"))
+                         : Compare(CompareOp::kEq, AttrRef("attr0"), Str("x"));
+    Program program = CompileAttr0(*expr);
+    ASSERT_EQ(program.code.size(), 2u) << program.Disassemble();
+    EXPECT_EQ(program.code[0].op, OpCode::kCmpAttrConst);
+    EXPECT_EQ((program.code[0].d & kCmpFlagBit) != 0, literal_left);
+    EXPECT_TRUE(analysis::VerifyProgram(program, 1, 0).ok());
+    auto hit = Evaluate(*expr, Value::String("x"));
+    ASSERT_TRUE(hit.ok());
+    EXPECT_TRUE(hit->AsBoolean());
+    auto miss = Evaluate(*expr, Value::String("y"));
+    ASSERT_TRUE(miss.ok());
+    EXPECT_FALSE(miss->AsBoolean());
+  }
+  // Neither side a bare attribute: the generic compare stays.
+  Program generic = CompileAttr0(
+      *Compare(CompareOp::kEq,
+               Arith(xpath::BinaryOp::kAdd, AttrRef("attr0"), Num(1)),
+               Num(2)));
+  EXPECT_EQ(generic.code[generic.code.size() - 2].op, OpCode::kCompare);
+}
+
+TEST(NvmAssemblerTest, CmpAttrConstKeepsOperandOrder) {
+  // The constant sits on the left of a <: the swap flag must preserve
+  // the asymmetric comparison.
+  ScalarPtr expr =
+      Compare(runtime::CompareOp::kLt, Num(5), AttrRef("attr0"));
+  Program program = CompileAttr0(*expr);
+  ASSERT_EQ(program.code[0].op, OpCode::kCmpAttrConst);
+  EXPECT_NE(program.code[0].d & kCmpFlagBit, 0);
+  auto lt = Evaluate(*expr, Value::Number(7));  // 5 < 7
+  ASSERT_TRUE(lt.ok());
+  EXPECT_TRUE(lt->AsBoolean());
+  auto ge = Evaluate(*expr, Value::Number(3));  // 5 < 3 is false
+  ASSERT_TRUE(ge.ok());
+  EXPECT_FALSE(ge->AsBoolean());
 }
 
 TEST(NvmTest, VariablesAndAttributes) {

@@ -6,6 +6,7 @@
 // over the same database.
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -299,47 +300,46 @@ TEST(ServerTest, CancelFlagAbortsExecution) {
 
 TEST(ServerTest, AdmissionRejectsWhenQueueIsFull) {
   ServerFixture& f = Fixture();
+  // The first request parks inside the only execution slot until the
+  // probe has been turned away: the probe must meet the full
+  // (zero-capacity) queue, and the parked request cannot be shed itself.
+  std::promise<void> slot_held;
+  std::promise<void> release_slot;
+  std::shared_future<void> released = release_slot.get_future().share();
+  std::atomic<bool> first{true};
   server::ServerOptions options;
   options.max_concurrency = 1;
   options.queue_capacity = 0;
+  options.on_admitted = [&] {
+    if (!first.exchange(false)) return;
+    slot_held.set_value();
+    released.wait();
+  };
   server::Server small(f.db.get(), options);
   ASSERT_TRUE(small.Start().ok());
 
-  // One busy thread re-issues the heavy query back-to-back over a
-  // keep-alive connection, occupying the only execution slot almost
-  // continuously; the probe's cheap query must then hit the full
-  // (zero-capacity) queue and bounce with 503. Retried because a probe
-  // can land in the sliver between two heavy executions.
-  const std::string heavy =
-      QueryTarget("xdoc", kHeavyQuery, "&mode=count");
-  std::atomic<bool> stop{false};
   std::thread busy([&] {
     server::HttpClient client(small.port());
-    while (!stop.load(std::memory_order_relaxed)) {
-      auto response = client.Get(heavy);
-      ASSERT_TRUE(response.ok());
-      EXPECT_EQ(response->status, 200);
-    }
+    auto response = client.Get(QueryTarget("books", "//title"));
+    ASSERT_TRUE(response.ok());
+    EXPECT_EQ(response->status, 200);
   });
-
-  server::HttpClient probe(small.port());
-  server::HttpResponse rejected;
-  bool saw_rejection = false;
-  for (int i = 0; i < 5000 && !saw_rejection; ++i) {
-    auto response = probe.Get(QueryTarget("books", "//title"));
-    if (!response.ok()) break;
-    if (response->status == 503) {
-      rejected = *response;
-      saw_rejection = true;
-    }
+  const bool held = slot_held.get_future().wait_for(std::chrono::seconds(
+                        30)) == std::future_status::ready;
+  StatusOr<server::HttpResponse> rejected =
+      Status::Internal("the busy request never took the slot");
+  if (held) {
+    server::HttpClient probe(small.port());
+    rejected = probe.Get(QueryTarget("books", "//title"));
   }
-  stop.store(true, std::memory_order_relaxed);
+  release_slot.set_value();
   busy.join();
 
-  ASSERT_TRUE(saw_rejection);
-  EXPECT_NE(rejected.body.find("\"code\":\"ResourceExhausted\""),
+  ASSERT_TRUE(rejected.ok()) << rejected.status().ToString();
+  EXPECT_EQ(rejected->status, 503);
+  EXPECT_NE(rejected->body.find("\"code\":\"ResourceExhausted\""),
             std::string::npos)
-      << rejected.body;
+      << rejected->body;
 #if !defined(NATIX_OBS_DISABLED)
   EXPECT_GT(obs::MetricsRegistry::Global().requests_rejected.value(), 0u);
 #endif

@@ -387,10 +387,12 @@ int main(int argc, char** argv) {
     const natix::ExecutionStats& s = (*query)->last_stats();
     std::fprintf(stderr,
                  "stats: %llu step tuples, %llu page faults, "
-                 "%llu nvm insns\n",
+                 "%llu nvm insns, %llu string values (%llu bytes)\n",
                  static_cast<unsigned long long>(s.step_tuples),
                  static_cast<unsigned long long>(s.page_faults),
-                 static_cast<unsigned long long>(s.nvm_insns));
+                 static_cast<unsigned long long>(s.nvm_insns),
+                 static_cast<unsigned long long>(s.string_values),
+                 static_cast<unsigned long long>(s.string_value_bytes));
   };
 
   int rc = 0;
