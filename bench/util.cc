@@ -119,14 +119,6 @@ RepTimings TimeNatixRepsNoRewrite(LoadedDocument& doc,
   return TimeNatixRepsWith(doc, query, options);
 }
 
-RepTimings TimeNatixRepsNoNvmOpt(LoadedDocument& doc,
-                                 const std::string& query) {
-  translate::TranslatorOptions options =
-      translate::TranslatorOptions::Improved();
-  options.optimize_nvm = false;
-  return TimeNatixRepsWith(doc, query, options);
-}
-
 RepTimings TimeNatixRepsNoLimit(LoadedDocument& doc,
                                 const std::string& query) {
   translate::TranslatorOptions options =
@@ -135,38 +127,21 @@ RepTimings TimeNatixRepsNoLimit(LoadedDocument& doc,
   return TimeNatixRepsWith(doc, query, options);
 }
 
-namespace {
-
-/// One evaluation; returns the NVM instructions it retired.
-uint64_t RetiredByOneRun(CompiledQuery* compiled, storage::NodeId root) {
-  if (compiled->result_type() == xpath::ExprType::kNodeSet) {
-    auto nodes = compiled->EvaluateNodes(root, /*document_order=*/false);
+NvmCounts CountNvm(LoadedDocument& doc, const std::string& query) {
+  auto compiled =
+      doc.db->Compile(query, translate::TranslatorOptions::Improved());
+  NATIX_CHECK(compiled.ok());
+  if ((*compiled)->result_type() == xpath::ExprType::kNodeSet) {
+    auto nodes = (*compiled)->EvaluateNodes(doc.root,
+                                            /*document_order=*/false);
     NATIX_CHECK(nodes.ok());
   } else {
-    auto value = compiled->EvaluateValue(root);
+    auto value = (*compiled)->EvaluateValue(doc.root);
     NATIX_CHECK(value.ok());
   }
-  return compiled->last_stats().nvm_insns;
-}
-
-}  // namespace
-
-NvmCounts CountNvm(LoadedDocument& doc, const std::string& query) {
   NvmCounts out;
-  auto optimized =
-      doc.db->Compile(query, translate::TranslatorOptions::Improved());
-  NATIX_CHECK(optimized.ok());
-  const qe::PlanTemplate& plan = (*optimized)->prepared().plan();
-  out.insns_before = plan.nvm_insns_before();
-  out.insns_after = plan.nvm_insns_after();
-  out.retired_opt = RetiredByOneRun(optimized->get(), doc.root);
-
-  translate::TranslatorOptions no_opt =
-      translate::TranslatorOptions::Improved();
-  no_opt.optimize_nvm = false;
-  auto baseline = doc.db->Compile(query, no_opt);
-  NATIX_CHECK(baseline.ok());
-  out.retired_noopt = RetiredByOneRun(baseline->get(), doc.root);
+  out.static_insns = (*compiled)->prepared().plan().nvm_insns_after();
+  out.retired = (*compiled)->last_stats().nvm_insns;
   return out;
 }
 
@@ -249,8 +224,6 @@ struct JsonRow {
   /// Rewrite ablation: same translation with the property-justified
   /// simplifier off (the "before" of the Sort/DupElim elimination).
   RepTimings natix_no_rewrite;
-  /// NVM ablation: same translation with the bytecode optimizer off.
-  RepTimings natix_no_nvmopt;
   NvmCounts nvm;
   RepTimings interp_memo;
   RepTimings interp_naive;
@@ -315,8 +288,6 @@ void WriteBenchJson(const char* figure, const std::string& query,
     out += ",\n     ";
     AppendReps(&out, "natix_no_rewrite", row.natix_no_rewrite);
     out += ",\n     ";
-    AppendReps(&out, "natix_no_nvmopt", row.natix_no_nvmopt);
-    out += ", ";
     AppendTiming(&out, "natix_stats_s", row.stats.seconds);
     out += ",\n     ";
     AppendReps(&out, "interp_memo", row.interp_memo);
@@ -350,13 +321,9 @@ void WriteBenchJson(const char* figure, const std::string& query,
     out += ", ";
     AppendCounter(&out, "page_hits", row.stats.buffer.page_hits);
     out += ", ";
-    AppendCounter(&out, "nvm_insns_static_before", row.nvm.insns_before);
+    AppendCounter(&out, "nvm_insns_static", row.nvm.static_insns);
     out += ", ";
-    AppendCounter(&out, "nvm_insns_static_after", row.nvm.insns_after);
-    out += ", ";
-    AppendCounter(&out, "nvm_insns_retired", row.nvm.retired_opt);
-    out += ", ";
-    AppendCounter(&out, "nvm_insns_retired_noopt", row.nvm.retired_noopt);
+    AppendCounter(&out, "nvm_insns_retired", row.nvm.retired);
     out += "}}";
     out += (i + 1 < rows.size()) ? ",\n" : "\n";
   }
@@ -380,9 +347,9 @@ void RunGeneratedFigure(const char* figure, const std::string& query,
   obs::MetricsRegistry::Global().Reset();
   std::printf("# %s: %s (%d reps/point, median plotted)\n", figure,
               query.c_str(), BenchReps());
-  std::printf("%-9s %9s %12s %12s %12s %14s %14s\n", "elements", "results",
-              "natix[s]", "no-rewrite[s]", "no-nvmopt[s]",
-              "interp-memo[s]", "interp-naive[s]");
+  std::printf("%-9s %9s %12s %12s %14s %14s\n", "elements", "results",
+              "natix[s]", "no-rewrite[s]", "interp-memo[s]",
+              "interp-naive[s]");
   double last_natix = 0;
   double last_memo = 0;
   double last_naive = 0;
@@ -403,16 +370,14 @@ void RunGeneratedFigure(const char* figure, const std::string& query,
       last_natix = row.natix.median_s;
       row.results = results;
       row.natix_no_rewrite = TimeNatixRepsNoRewrite(doc, query);
-      row.natix_no_nvmopt = TimeNatixRepsNoNvmOpt(doc, query);
       row.nvm = CountNvm(doc, query);
       // A second, instrumented run gathers the per-operator counters
       // without polluting the uninstrumented timings above.
       row.stats = TimeNatixWithStats(doc, query);
-      std::printf(" %9zu %12.4f %12.4f %12.4f", results,
-                  row.natix.median_s, row.natix_no_rewrite.median_s,
-                  row.natix_no_nvmopt.median_s);
+      std::printf(" %9zu %12.4f %12.4f", results, row.natix.median_s,
+                  row.natix_no_rewrite.median_s);
     } else {
-      std::printf(" %9s %12s %12s %12s", "-", "-", "-", "-");
+      std::printf(" %9s %12s %12s", "-", "-", "-");
     }
     if (last_memo <= budget_s) {
       row.interp_memo = TimeInterpReps(doc, query, /*memoize=*/true);

@@ -67,26 +67,18 @@ RepTimings TimeNatixReps(LoadedDocument& doc, const std::string& query,
 RepTimings TimeNatixRepsNoRewrite(LoadedDocument& doc,
                                   const std::string& query);
 
-/// Same, but with the NVM bytecode optimizer off (improved translation,
-/// optimize_nvm = false): the ablation baseline for the subscript
-/// instruction counts in the emitted BENCH_*.json.
-RepTimings TimeNatixRepsNoNvmOpt(LoadedDocument& doc,
-                                 const std::string& query);
-
 /// Same, but with the positional Limit pushdown off (improved
 /// translation, limit_pushdown = false): the "natix_no_limit" ablation
 /// column of BENCH_fig10.json (docs/LIMIT-PUSHDOWN.md).
 RepTimings TimeNatixRepsNoLimit(LoadedDocument& doc,
                                 const std::string& query);
 
-/// NVM subscript instruction counts for `query`: static bytecode sizes
-/// before/after optimization (summed over the plan's subscripts) and
-/// instructions retired by one evaluation with the optimizer on / off.
+/// NVM subscript instruction counts for `query`: the static bytecode
+/// size (summed over the plan's subscripts) and the instructions retired
+/// by one evaluation.
 struct NvmCounts {
-  uint64_t insns_before = 0;
-  uint64_t insns_after = 0;
-  uint64_t retired_opt = 0;
-  uint64_t retired_noopt = 0;
+  uint64_t static_insns = 0;
+  uint64_t retired = 0;
 };
 NvmCounts CountNvm(LoadedDocument& doc, const std::string& query);
 

@@ -43,9 +43,8 @@ Status VerifyProgram(const Program& program, size_t tuple_register_count,
 
   // Structural pass: operand bounds for every instruction, reachable or
   // not, and no instruction whose fall-through leaves the program. The
-  // operand-role model is shared with the dataflow framework
-  // (nvm_dataflow.h), so optimizer-introduced superinstructions are
-  // checked by the same table the passes justify themselves with.
+  // operand-role model (nvm_dataflow.h) is the same table the CFG and
+  // the --dump-nvm listing read.
   for (size_t pc = 0; pc < code.size(); ++pc) {
     const Instruction& ins = code[pc];
     NvmOperandRoles roles = NvmRolesOf(ins);
@@ -93,11 +92,6 @@ Status VerifyProgram(const Program& program, size_t tuple_register_count,
     if (roles.jump_b && ins.b >= code.size()) {
       return Malformed(program, pc,
                        "jump target " + std::to_string(ins.b) +
-                           " out of range");
-    }
-    if (roles.jump_a && ins.a >= code.size()) {
-      return Malformed(program, pc,
-                       "jump target " + std::to_string(ins.a) +
                            " out of range");
     }
     if (roles.cmp_d) {

@@ -127,6 +127,8 @@ void PreparedQuery::Execution::EndStats() {
   metrics.pages_per_query.Record(last_stats_.page_faults);
   metrics.tuples_per_query.Record(last_stats_.step_tuples);
   metrics.nvm_insns_retired.Add(last_stats_.nvm_insns);
+  metrics.string_values.Add(last_stats_.string_values);
+  metrics.string_value_bytes.Add(last_stats_.string_value_bytes);
   metrics.queries_executed.Add();
   obs::SlowQueryLog& slow_log = metrics.slow_log();
   if (slow_log.ShouldLog(exec_ns)) {

@@ -76,12 +76,8 @@ const char* OpCodeName(OpCode op) {
       return "eval_nested";
     case OpCode::kHalt:
       return "halt";
-    case OpCode::kMove:
-      return "move";
     case OpCode::kCmpAttrConst:
       return "cmp_attr_const";
-    case OpCode::kCmpBranch:
-      return "cmp_branch";
   }
   return "?";
 }
@@ -118,12 +114,6 @@ std::string Program::Disassemble() const {
         out += ", attr#" + std::to_string(ins.b) + ", " +
                constants[ins.c].DebugString() + ", op#" +
                std::to_string(ins.d);
-        break;
-      case OpCode::kCmpBranch:
-        // The `a` printed above is the jump target, not a register.
-        out += ", r" + std::to_string(ins.b) + ", r" + std::to_string(ins.c) +
-               ", op#" + std::to_string(ins.d) + " -> " +
-               std::to_string(ins.a);
         break;
       case OpCode::kHalt:
         break;

@@ -57,22 +57,14 @@ enum class OpCode : uint8_t {
   // Nested iterator access (Sec. 5.2.3):
   kEvalNested,     // r[a] = aggregated result of nested plan #b
   kHalt,           // return r[a]
-  // Emitted only by the analysis-justified optimizer
-  // (src/analysis/nvm_optimizer.h), never by the assembler:
-  kMove,           // r[a] = r[b]
   // Emitted by the assembler for every compare of a tuple attribute with
   // a literal. d bits 0-7 encode the runtime::CompareOp; d bit 8 swaps
   // the operand order (constant on the left). A node compared for
   // (in)equality with a string runs in place on the buffer pages.
-  kCmpAttrConst,   // r[a] = tuple[b] <cmp d&0xFF> consts[c]
-  // Superinstruction fusing compare + conditional jump. d bits 0-7
-  // encode the CompareOp; d bit 8 is the branch sense (1: jump when the
-  // comparison holds). The jump target lives in `a`.
-  kCmpBranch       // if (r[b] <cmp d&0xFF> r[c]) == sense(d bit 8) pc = a
+  kCmpAttrConst    // r[a] = tuple[b] <cmp d&0xFF> consts[c]
 };
 
-/// Flag bit 8 of the d operand of kCmpAttrConst (operand swap) and
-/// kCmpBranch (branch sense).
+/// Flag bit 8 of the d operand of kCmpAttrConst (operand swap).
 inline constexpr uint16_t kCmpFlagBit = 0x100;
 
 const char* OpCodeName(OpCode op);

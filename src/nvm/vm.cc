@@ -343,9 +343,6 @@ StatusOr<Value> Vm::Run(
         r[ins.a] = std::move(v);
         break;
       }
-      case OpCode::kMove:
-        r[ins.a] = r[ins.b];
-        break;
       case OpCode::kCmpAttrConst: {
         NATIX_ASSIGN_OR_RETURN(
             bool out,
@@ -353,17 +350,6 @@ StatusOr<Value> Vm::Run(
                              (ins.d & kCmpFlagBit) != 0, tuple[ins.b],
                              program_->constants[ins.c], ctx));
         r[ins.a] = Value::Boolean(out);
-        break;
-      }
-      case OpCode::kCmpBranch: {
-        const bool sense = (ins.d & kCmpFlagBit) != 0;
-        const auto op = static_cast<runtime::CompareOp>(ins.d & 0xFF);
-        NATIX_ASSIGN_OR_RETURN(
-            bool out, runtime::CompareAtomic(op, r[ins.b], r[ins.c], ctx));
-        if (out == sense) {
-          pc = ins.a;
-          continue;
-        }
         break;
       }
       case OpCode::kHalt:

@@ -219,7 +219,7 @@ std::string MetricsRegistry::SnapshotJson() const {
   out += ",";
   AppendHistogramJson(&out, "queue_wait_ns", queue_wait_ns);
   out += "},\"counters\":{";
-  char buf[640];
+  char buf[768];
   std::snprintf(buf, sizeof(buf),
                 "\"queries_compiled\":%" PRIu64
                 ",\"queries_executed\":%" PRIu64
@@ -228,6 +228,8 @@ std::string MetricsRegistry::SnapshotJson() const {
                 ",\"plan_cache_hits\":%" PRIu64
                 ",\"plan_cache_misses\":%" PRIu64
                 ",\"nvm_insns_retired\":%" PRIu64
+                ",\"string_values\":%" PRIu64
+                ",\"string_value_bytes\":%" PRIu64
                 ",\"early_exits\":%" PRIu64
                 ",\"deadline_exceeded\":%" PRIu64
                 ",\"queries_cancelled\":%" PRIu64
@@ -239,6 +241,7 @@ std::string MetricsRegistry::SnapshotJson() const {
                 compile_errors.value(), exec_errors.value(),
                 slow_queries.value(), plan_cache_hits.value(),
                 plan_cache_misses.value(), nvm_insns_retired.value(),
+                string_values.value(), string_value_bytes.value(),
                 early_exits.value(), deadline_exceeded.value(),
                 queries_cancelled.value(), requests_rejected.value(),
                 http_requests.value(), queue_depth.value(),
@@ -254,13 +257,14 @@ std::string MetricsRegistry::RenderText() const {
   AppendHistogramText(&out, "pages_per_query", pages_per_query);
   AppendHistogramText(&out, "tuples_per_query", tuples_per_query);
   AppendHistogramText(&out, "queue_wait_ns", queue_wait_ns);
-  char buf[640];
+  char buf[768];
   std::snprintf(buf, sizeof(buf),
                 "  counters: queries_compiled=%" PRIu64
                 " queries_executed=%" PRIu64 " compile_errors=%" PRIu64
                 " exec_errors=%" PRIu64 " slow_queries=%" PRIu64
                 " plan_cache_hits=%" PRIu64 " plan_cache_misses=%" PRIu64
-                " nvm_insns_retired=%" PRIu64 " early_exits=%" PRIu64
+                " nvm_insns_retired=%" PRIu64 " string_values=%" PRIu64
+                " string_value_bytes=%" PRIu64 " early_exits=%" PRIu64
                 " deadline_exceeded=%" PRIu64 " queries_cancelled=%" PRIu64
                 " requests_rejected=%" PRIu64 " http_requests=%" PRIu64
                 "\n  gauges: queue_depth=%" PRId64
@@ -269,6 +273,7 @@ std::string MetricsRegistry::RenderText() const {
                 compile_errors.value(), exec_errors.value(),
                 slow_queries.value(), plan_cache_hits.value(),
                 plan_cache_misses.value(), nvm_insns_retired.value(),
+                string_values.value(), string_value_bytes.value(),
                 early_exits.value(), deadline_exceeded.value(),
                 queries_cancelled.value(), requests_rejected.value(),
                 http_requests.value(), queue_depth.value(),
@@ -291,6 +296,8 @@ void MetricsRegistry::Reset() {
   plan_cache_hits.Reset();
   plan_cache_misses.Reset();
   nvm_insns_retired.Reset();
+  string_values.Reset();
+  string_value_bytes.Reset();
   early_exits.Reset();
   deadline_exceeded.Reset();
   queries_cancelled.Reset();

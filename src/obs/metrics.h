@@ -155,8 +155,9 @@ class SlowQueryLog {
 /// pages_per_query, tuples_per_query, queue_wait_ns; counters
 /// queries_compiled, queries_executed, compile_errors, exec_errors,
 /// slow_queries, plan_cache_hits, plan_cache_misses, nvm_insns_retired,
-/// early_exits, deadline_exceeded, queries_cancelled, requests_rejected,
-/// http_requests; gauges queue_depth, requests_in_flight.
+/// string_values, string_value_bytes, early_exits, deadline_exceeded,
+/// queries_cancelled, requests_rejected, http_requests; gauges
+/// queue_depth, requests_in_flight.
 class MetricsRegistry {
  public:
   static MetricsRegistry& Global();
@@ -178,6 +179,10 @@ class MetricsRegistry {
   CounterCell plan_cache_misses;
   /// NVM bytecode instructions retired by subscript programs.
   CounterCell nvm_insns_retired;
+  /// Node string-values built by executions and their total bytes
+  /// (storage::StringValueCounters).
+  CounterCell string_values;
+  CounterCell string_value_bytes;
   /// Pipelines closed before exhaustion by the Limit operator
   /// (docs/LIMIT-PUSHDOWN.md) — pages and next() calls saved.
   CounterCell early_exits;
@@ -293,6 +298,8 @@ class MetricsRegistry {
   CounterCell plan_cache_hits;
   CounterCell plan_cache_misses;
   CounterCell nvm_insns_retired;
+  CounterCell string_values;
+  CounterCell string_value_bytes;
   CounterCell early_exits;
   CounterCell deadline_exceeded;
   CounterCell queries_cancelled;

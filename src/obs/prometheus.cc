@@ -131,6 +131,12 @@ std::string RenderPrometheus(const MetricsRegistry& registry) {
   AppendPrometheusCounter(&out, "natix_nvm_insns_retired_total",
                           "NVM bytecode instructions retired",
                           registry.nvm_insns_retired.value());
+  AppendPrometheusCounter(&out, "natix_string_values_total",
+                          "Node string-values materialized",
+                          registry.string_values.value());
+  AppendPrometheusCounter(&out, "natix_string_value_bytes_total",
+                          "Bytes of materialized node string-values",
+                          registry.string_value_bytes.value());
   AppendPrometheusCounter(&out, "natix_early_exits_total",
                           "Pipelines closed early by the Limit operator",
                           registry.early_exits.value());

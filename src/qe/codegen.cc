@@ -4,8 +4,6 @@
 #include <utility>
 
 #include "algebra/properties.h"
-#include "analysis/nvm_dataflow.h"
-#include "analysis/nvm_optimizer.h"
 #include "analysis/plan_verifier.h"
 #include "analysis/property_inference.h"
 #include "nvm/assembler.h"
@@ -243,13 +241,7 @@ class CodegenImpl {
         "registers: " + std::to_string(next_register_) + ", nested plans: " +
         std::to_string(ctx_->nested_.size()) + "\n" +
         PhysicalPrinter(attribute_map_).Render(*translation.plan);
-    tmpl->nvm_programs_ = std::move(optimized_programs_);
-    tmpl->nvm_listing_before_ = std::move(nvm_listing_before_);
-    tmpl->nvm_listing_after_ = std::move(nvm_listing_after_);
-    tmpl->nvm_insns_before_ = nvm_insns_before_;
-    tmpl->nvm_insns_after_ = nvm_insns_after_;
-    tmpl->rewrites_.insert(tmpl->rewrites_.end(), nvm_rewrites_.begin(),
-                           nvm_rewrites_.end());
+    tmpl->nvm_programs_ = std::move(programs_);
 
     obs::ScopedSpan verify_span(
         "compile/verify",
@@ -261,7 +253,7 @@ class CodegenImpl {
       model.context_regs = {ctx_->cn_reg_, ctx_->cp0_reg_, ctx_->cs0_reg_};
       model.result_reg = ctx_->result_reg_;
       model.nested_count = ctx_->nested_.size();
-      model.programs = std::move(programs_);
+      model.programs = tmpl->nvm_programs_;
       NATIX_RETURN_IF_ERROR(analysis::VerifyTranslation(translation));
       NATIX_RETURN_IF_ERROR(analysis::VerifyPhysical(model));
       NATIX_RETURN_IF_ERROR(analysis::VerifyResources(model));
@@ -273,9 +265,7 @@ class CodegenImpl {
           " subscript programs; properties: " +
           std::to_string(props_.size()) + " operators annotated, " +
           std::to_string(translation.rewrites.size()) +
-          " property-justified rewrites; nvm optimizer: " +
-          std::to_string(nvm_rewrites_.size()) +
-          " bytecode rewrites; resources: pin-balanced, "
+          " property-justified rewrites; resources: pin-balanced, "
           "close-on-all-paths)";
     } else {
       tmpl->verification_ =
@@ -392,36 +382,9 @@ class CodegenImpl {
     };
     NATIX_ASSIGN_OR_RETURN(nvm::Program program,
                            nvm::CompileScalar(scalar, resolver, registrar));
-    // Claimed after CompileScalar so subscripts inside nested plans
-    // (compiled during the registrar's recursion) take earlier indices:
-    // compile order is deterministic across prepare and instantiation.
-    const size_t index = subscript_index_++;
-    if (prepare_) {
-      nvm_listing_before_ += "== " + host->label + " ==\n" +
-                             analysis::RenderNvmProgram(program);
-      nvm_insns_before_ += program.code.size();
-      if (tmpl_.translation_.optimize_nvm) {
-        NATIX_RETURN_IF_ERROR(analysis::OptimizeNvmProgram(
-            &program, host->label, next_register_, ctx_->nested_.size(),
-            &nvm_rewrites_));
-      }
-      nvm_listing_after_ += "== " + host->label + " ==\n" +
-                            analysis::RenderNvmProgram(program);
-      nvm_insns_after_ += program.code.size();
-      optimized_programs_.push_back(program);
-    } else {
-      // Instantiation replays the prepare-time result: the optimizer and
-      // its per-pass verification run once per template, not per context.
-      if (index >= tmpl_.nvm_programs_.size()) {
-        return Status::Internal(
-            "plan instantiation diverged from the prepared template "
-            "(subscript count)");
-      }
-      program = tmpl_.nvm_programs_[index];
-    }
     // The program's tuple-register operands are exactly the plan
-    // registers the subscript reads per tuple (the fused kCmpAttrConst
-    // reads its tuple register directly).
+    // registers the subscript reads per tuple (kCmpAttrConst reads its
+    // tuple register directly).
     for (const nvm::Instruction& ins : program.code) {
       if (ins.op == nvm::OpCode::kLoadAttr ||
           ins.op == nvm::OpCode::kCmpAttrConst) {
@@ -992,19 +955,9 @@ class CodegenImpl {
   RegisterId next_register_ = 0;
   /// Root of the Layer-2 dataflow model (consumed by FinishPrepare).
   PhysNodePtr root_node_;
-  /// Every compiled NVM subscript with its site label (Layer-3 sweep;
-  /// collected at prepare time only).
+  /// Every compiled NVM subscript with its site label (collected at
+  /// prepare time only; moved into the template by FinishPrepare).
   std::vector<std::pair<std::string, nvm::Program>> programs_;
-  /// Post-order subscript counter pairing each compiled subscript with
-  /// its template slot across prepare and instantiation.
-  size_t subscript_index_ = 0;
-  /// Prepare-time collections moved into the template by FinishPrepare.
-  std::vector<nvm::Program> optimized_programs_;
-  std::string nvm_listing_before_;
-  std::string nvm_listing_after_;
-  size_t nvm_insns_before_ = 0;
-  size_t nvm_insns_after_ = 0;
-  algebra::RewriteLog nvm_rewrites_;
 };
 
 }  // namespace internal

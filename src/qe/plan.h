@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algebra/rewriter.h"
@@ -84,23 +85,20 @@ class PlanTemplate {
   /// Human-readable segment listing (natixq --explain).
   const std::string& segments_text() const { return segments_text_; }
 
-  /// The property-justified rewrites applied during translation plus the
-  /// analysis-justified NVM bytecode rewrites ("nvm:<pass>" rules), each
-  /// with the inferred property or dataflow fact that proved it sound.
+  /// The property-justified rewrites applied during translation, each
+  /// with the inferred property that proved it sound.
   const algebra::RewriteLog& rewrites() const { return rewrites_; }
 
-  /// Symbolic disassembly of every compiled NVM subscript program before
-  /// and after the bytecode optimizer (identical when optimize_nvm is
-  /// off). Shown by natixq --dump-nvm.
-  const std::string& nvm_listing_before() const {
-    return nvm_listing_before_;
+  /// Every compiled NVM subscript program with its site label, in
+  /// compile order: the programs the Layer-3 verifier checks and
+  /// natixq --dump-nvm renders.
+  const std::vector<std::pair<std::string, nvm::Program>>& nvm_programs()
+      const {
+    return nvm_programs_;
   }
-  const std::string& nvm_listing_after() const { return nvm_listing_after_; }
 
-  /// Static instruction totals across all subscript programs, before and
-  /// after the bytecode optimizer.
-  size_t nvm_insns_before() const { return nvm_insns_before_; }
-  size_t nvm_insns_after() const { return nvm_insns_after_; }
+  /// Static instruction total across all subscript programs.
+  size_t nvm_insns_after() const;
 
   /// Whether the result stream is statically guaranteed to arrive in
   /// (non-strict) document order, making the final result sort
@@ -137,14 +135,7 @@ class PlanTemplate {
   std::string segments_text_;
   algebra::RewriteLog rewrites_;
   bool result_document_ordered_ = false;
-  /// The final (optimized) subscript programs in deterministic compile
-  /// order: instantiation replays them so the optimizer and its per-pass
-  /// verification run once per template, not once per context.
-  std::vector<nvm::Program> nvm_programs_;
-  std::string nvm_listing_before_;
-  std::string nvm_listing_after_;
-  size_t nvm_insns_before_ = 0;
-  size_t nvm_insns_after_ = 0;
+  std::vector<std::pair<std::string, nvm::Program>> nvm_programs_;
 };
 
 /// Sorts node references into document order (ascending order keys).

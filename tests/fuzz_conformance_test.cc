@@ -1,8 +1,16 @@
 // Grammar-based query fuzzing: random (but valid) XPath queries over
 // random documents, cross-checked between the algebraic engine (both
-// translations) and the interpreter oracle. Complements the fixed corpus
-// in conformance_test.cc with coverage of operator combinations nobody
+// translations) and the interpreter oracle for every result kind
+// (nodes, number, string, boolean). Complements the fixed corpus in
+// conformance_test.cc with coverage of operator combinations nobody
 // thought to write down.
+//
+// Two query sources feed the same oracle check: QueryGen stresses axes,
+// positional predicates and nested paths; ScalarQueryGen stresses the
+// NVM subscript programs (attribute-vs-literal compares in both
+// orientations, constant arithmetic, string functions, chained
+// conversions and short-circuit and/or), run with plan verification on
+// so every emitted program also passes the Layer-3 verifier.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +19,7 @@
 #include <random>
 #include <string>
 
+#include "analysis/plan_verifier.h"
 #include "api/database.h"
 #include "base/xpath_number.h"
 #include "dom/dom_builder.h"
@@ -136,8 +145,124 @@ class QueryGen {
   std::mt19937 rng_;
 };
 
+/// Scalar-heavy queries: subscripts dominated by compares, arithmetic,
+/// string functions and conversions rather than by navigation.
+class ScalarQueryGen {
+ public:
+  explicit ScalarQueryGen(uint32_t seed) : rng_(seed) {}
+
+  std::string TopLevel() {
+    switch (Int(8)) {
+      case 0:
+        return "count(" + Path() + ") + " + Scalar(1);
+      case 1:
+        return "string(" + Path() + ")";
+      case 2:
+        return Scalar(0);  // pure scalar: no path at all
+      default:
+        return Path();
+    }
+  }
+
+ private:
+  int Int(int n) { return std::uniform_int_distribution<int>(0, n - 1)(rng_); }
+
+  std::string Pick(std::initializer_list<const char*> options) {
+    auto it = options.begin();
+    std::advance(it, Int(static_cast<int>(options.size())));
+    return *it;
+  }
+
+  std::string Attr() { return std::string("@") + Pick({"id", "x", "y"}); }
+
+  std::string Literal() {
+    if (Int(2) == 0) return "'" + std::to_string(Int(4)) + "'";
+    return std::to_string(Int(4));
+  }
+
+  /// A scalar expression; depth limits the recursion.
+  std::string Scalar(int depth) {
+    if (depth >= 2) return Literal();
+    switch (Int(10)) {
+      case 0:
+        return Scalar(depth + 1) + " + " + Scalar(depth + 1);
+      case 1:
+        return Scalar(depth + 1) + " * " + Scalar(depth + 1);
+      case 2:
+        return "string-length(" + Str() + ")";
+      case 3:
+        return "number(" + Scalar(depth + 1) + ")";
+      case 4:
+        return "floor(" + Scalar(depth + 1) + " div 2)";
+      case 5:
+        return "substring(" + Str() + ", 1 + 1, 2)";
+      case 6:
+        return "concat(" + Str() + ", 'z')";
+      default:
+        return Literal();
+    }
+  }
+
+  std::string Str() {
+    switch (Int(4)) {
+      case 0:
+        return "'hello'";
+      case 1:
+        return "string(" + Attr() + ")";
+      default:
+        return "'" + std::to_string(Int(100)) + "'";
+    }
+  }
+
+  std::string Predicate() {
+    std::string cmp = Pick({"=", "!=", "<", "<=", ">", ">="});
+    switch (Int(10)) {
+      case 0:  // attribute vs literal, both orientations: cmp_attr_const
+      case 1:
+        return Attr() + " " + cmp + " " + Literal();
+      case 2:
+        return Literal() + " " + cmp + " " + Attr();
+      case 3:  // condition over constants only
+        return Scalar(1) + " " + cmp + " " + Scalar(1);
+      case 4:
+        return "not(" + Attr() + " " + cmp + " " + Literal() + ")";
+      case 5:  // short-circuit and/or around an attribute compare
+        return Attr() + " " + cmp + " " + Literal() + " " +
+               Pick({"and", "or"}) + " " + Scalar(1) + " " + cmp + " " +
+               Literal();
+      case 6:
+        return "boolean(" + Attr() + ")";
+      case 7:
+        return "position() " + cmp + " " + std::to_string(1 + Int(3));
+      default:
+        return Attr();
+    }
+  }
+
+  std::string Step() {
+    std::string axis = Pick({"", "", "", "descendant::", "self::"});
+    std::string step = axis + Pick({"a", "b", "c", "*"});
+    if (Int(2) == 0) step += "[" + Predicate() + "]";
+    return step;
+  }
+
+  std::string Path() {
+    std::string out = Pick({"/", "", "//"});
+    int steps = 1 + Int(3);
+    for (int i = 0; i < steps; ++i) {
+      if (i > 0) out += Pick({"/", "/", "//"});
+      out += Step();
+    }
+    return out;
+  }
+
+  std::mt19937 rng_;
+};
+
 /// Same generator as conformance_test.cc, kept independent on purpose.
-std::string RandomDocument(uint32_t seed) {
+/// `with_y` adds a sparse y attribute for ScalarQueryGen's @y operands;
+/// without it the corpus of RandomQueriesAgree is unchanged.
+std::string RandomDocument(uint32_t seed, bool with_y = false) {
   std::mt19937 rng(seed);
   const char* names[] = {"a", "b", "c"};
   std::uniform_int_distribution<int> name_dist(0, 2);
@@ -152,6 +277,9 @@ std::string RandomDocument(uint32_t seed) {
     if (kind_dist(rng) < 5) out += " id='n" + std::to_string(id++) + "'";
     if (kind_dist(rng) < 3) {
       out += " x='" + std::to_string(kind_dist(rng) % 4) + "'";
+    }
+    if (with_y && kind_dist(rng) < 2) {
+      out += " y='" + std::to_string(kind_dist(rng) % 4) + "'";
     }
     out += ">";
     int children = depth >= 4 ? 0 : children_dist(rng);
@@ -191,70 +319,106 @@ std::string RenderInterp(const interp::Object& v) {
   return "?";
 }
 
-class FuzzConformanceTest : public ::testing::TestWithParam<uint32_t> {};
+/// Renders the algebraic engine's result in RenderInterp's format.
+StatusOr<std::string> RunAlgebraic(
+    Database* db, storage::NodeId root, const std::string& query,
+    const translate::TranslatorOptions& options) {
+  NATIX_ASSIGN_OR_RETURN(std::unique_ptr<CompiledQuery> compiled,
+                         db->Compile(query, options));
+  if (compiled->result_type() == xpath::ExprType::kNodeSet) {
+    NATIX_ASSIGN_OR_RETURN(std::vector<storage::StoredNode> nodes,
+                           compiled->EvaluateNodes(root));
+    std::string out = "nodes:";
+    for (const storage::StoredNode& n : nodes) {
+      NATIX_ASSIGN_OR_RETURN(uint64_t order, n.order());
+      out += " " + std::to_string(order);
+    }
+    return out;
+  }
+  NATIX_ASSIGN_OR_RETURN(runtime::Value value, compiled->EvaluateValue(root));
+  switch (value.kind()) {
+    case runtime::ValueKind::kBoolean:
+      return std::string(value.AsBoolean() ? "bool: true" : "bool: false");
+    case runtime::ValueKind::kNumber:
+      return "num: " + XPathNumberToString(value.AsNumber());
+    default:
+      return "str: " + value.AsString();
+  }
+}
 
-TEST_P(FuzzConformanceTest, RandomQueriesAgree) {
-  uint32_t seed = GetParam() + BaseSeed();
-  SCOPED_TRACE(::testing::Message()
-               << "effective seed " << seed << " (NATIX_FUZZ_SEED base "
-               << BaseSeed() << " + param " << GetParam()
-               << "); rerun with NATIX_FUZZ_SEED=" << BaseSeed());
-  std::string xml = RandomDocument(seed * 977 + 11);
+/// One loaded random document, in the store and as the oracle's DOM.
+class FuzzConformanceTest : public ::testing::TestWithParam<uint32_t> {
+ protected:
+  void SetUp() override { was_verifying_ = analysis::VerificationEnabled(); }
+  void TearDown() override { analysis::SetVerificationEnabled(was_verifying_); }
 
-  auto db = Database::CreateTemp();
-  ASSERT_TRUE(db.ok());
-  auto info = (*db)->LoadDocument("doc", xml);
-  ASSERT_TRUE(info.ok());
-  auto dom_doc = dom::ParseDocument(xml);
-  ASSERT_TRUE(dom_doc.ok());
+  uint32_t Seed() const { return GetParam() + BaseSeed(); }
 
-  QueryGen gen(seed);
-  int checked = 0;
-  for (int i = 0; i < 120; ++i) {
-    std::string query = gen.TopLevel();
+  void Load(const std::string& xml) {
+    xml_ = xml;
+    auto db = Database::CreateTemp();
+    ASSERT_TRUE(db.ok());
+    db_ = std::move(*db);
+    auto info = db_->LoadDocument("doc", xml_);
+    ASSERT_TRUE(info.ok());
+    root_ = info->root;
+    auto dom_doc = dom::ParseDocument(xml_);
+    ASSERT_TRUE(dom_doc.ok());
+    dom_ = std::move(*dom_doc);
+  }
+
+  /// Both translations must render exactly what the interpreter does.
+  void ExpectAgreesWithOracle(const std::string& query) {
     interp::EvaluatorOptions oracle_options;
-    auto oracle = interp::Evaluator::Run(dom_doc->get(), query,
-                                         (*dom_doc)->root(),
+    auto oracle = interp::Evaluator::Run(dom_.get(), query, dom_->root(),
                                          oracle_options);
-    ASSERT_TRUE(oracle.ok()) << query << ": "
-                             << oracle.status().ToString();
-    std::string expected = RenderInterp(*oracle);
-
+    ASSERT_TRUE(oracle.ok()) << query << ": " << oracle.status().ToString();
+    const std::string expected = RenderInterp(*oracle);
     for (bool improved : {false, true}) {
       auto options = improved ? translate::TranslatorOptions::Improved()
                               : translate::TranslatorOptions::Canonical();
-      auto compiled = (*db)->Compile(query, options);
-      ASSERT_TRUE(compiled.ok())
-          << query << ": " << compiled.status().ToString();
-      std::string actual;
-      if ((*compiled)->result_type() == xpath::ExprType::kNodeSet) {
-        auto nodes = (*compiled)->EvaluateNodes(info->root);
-        ASSERT_TRUE(nodes.ok()) << query;
-        actual = "nodes:";
-        for (const storage::StoredNode& n : *nodes) {
-          actual += " " + std::to_string(*n.order());
-        }
-      } else {
-        auto value = (*compiled)->EvaluateValue(info->root);
-        ASSERT_TRUE(value.ok()) << query;
-        switch (value->kind()) {
-          case runtime::ValueKind::kBoolean:
-            actual = value->AsBoolean() ? "bool: true" : "bool: false";
-            break;
-          case runtime::ValueKind::kNumber:
-            actual = "num: " + XPathNumberToString(value->AsNumber());
-            break;
-          default:
-            actual = "str: " + value->AsString();
-        }
-      }
-      ASSERT_EQ(actual, expected)
+      auto actual = RunAlgebraic(db_.get(), root_, query, options);
+      ASSERT_TRUE(actual.ok())
+          << query << ": " << actual.status().ToString()
+          << "\ndocument: " << xml_;
+      ASSERT_EQ(*actual, expected)
           << (improved ? "improved" : "canonical") << " diverges on "
-          << query << "\ndocument: " << xml;
+          << query << "\ndocument: " << xml_;
     }
-    ++checked;
   }
-  EXPECT_EQ(checked, 120);
+
+  std::string Trace() const {
+    return "effective seed " + std::to_string(Seed()) +
+           " (NATIX_FUZZ_SEED base " + std::to_string(BaseSeed()) +
+           " + param " + std::to_string(GetParam()) +
+           "); rerun with NATIX_FUZZ_SEED=" + std::to_string(BaseSeed());
+  }
+
+  std::string xml_;
+  std::unique_ptr<Database> db_;
+  storage::NodeId root_{};
+  std::unique_ptr<dom::Document> dom_;
+  bool was_verifying_ = false;
+};
+
+TEST_P(FuzzConformanceTest, RandomQueriesAgree) {
+  SCOPED_TRACE(Trace());
+  ASSERT_NO_FATAL_FAILURE(Load(RandomDocument(Seed() * 977 + 11)));
+  QueryGen gen(Seed());
+  for (int i = 0; i < 120; ++i) {
+    ASSERT_NO_FATAL_FAILURE(ExpectAgreesWithOracle(gen.TopLevel()));
+  }
+}
+
+TEST_P(FuzzConformanceTest, ScalarQueriesAgree) {
+  SCOPED_TRACE(Trace());
+  analysis::SetVerificationEnabled(true);
+  ASSERT_NO_FATAL_FAILURE(
+      Load(RandomDocument(Seed() * 2027 + 11, /*with_y=*/true)));
+  ScalarQueryGen gen(Seed());
+  for (int i = 0; i < 80; ++i) {
+    ASSERT_NO_FATAL_FAILURE(ExpectAgreesWithOracle(gen.TopLevel()));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzConformanceTest,

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "api/database.h"
 #include "obs/metrics.h"
 #include "obs/prometheus.h"
 
@@ -183,6 +184,8 @@ TEST(PrometheusRenderTest, RegistryRenderCoversContractInstruments) {
         "# TYPE natix_queries_executed_total counter",
         "# TYPE natix_plan_cache_hits_total counter",
         "# TYPE natix_nvm_insns_retired_total counter",
+        "# TYPE natix_string_values_total counter",
+        "# TYPE natix_string_value_bytes_total counter",
         "# TYPE natix_early_exits_total counter",
         "# TYPE natix_deadline_exceeded_total counter",
         "# TYPE natix_requests_rejected_total counter",
@@ -190,6 +193,48 @@ TEST(PrometheusRenderTest, RegistryRenderCoversContractInstruments) {
         "# TYPE natix_requests_in_flight gauge"}) {
     EXPECT_NE(out.find(needle), std::string::npos) << needle;
   }
+}
+
+TEST(PrometheusRenderTest, StringValueCountersFollowExecutions) {
+  auto db = Database::CreateTemp();
+  ASSERT_TRUE(db.ok());
+  auto info = (*db)->LoadDocument(
+      "doc", "<r><a>x</a><a>y</a><a><b>x</b></a><a>xx</a></r>");
+  ASSERT_TRUE(info.ok());
+  MetricsRegistry& metrics = MetricsRegistry::Global();
+  const uint64_t values_before = metrics.string_values.value();
+  const uint64_t bytes_before = metrics.string_value_bytes.value();
+
+  // contains() builds every a's string-value: 4 strings, 5 bytes.
+  auto query = (*db)->Compile("//a[contains(., 'x')]");
+  ASSERT_TRUE(query.ok());
+  ASSERT_TRUE((*query)->EvaluateNodes(info->root).ok());
+  EXPECT_EQ(metrics.string_values.value() - values_before, 4u);
+  EXPECT_EQ(metrics.string_value_bytes.value() - bytes_before, 5u);
+
+  const std::string values = std::to_string(metrics.string_values.value());
+  const std::string bytes =
+      std::to_string(metrics.string_value_bytes.value());
+  const std::string prom = RenderPrometheus(metrics);
+  EXPECT_NE(prom.find("\nnatix_string_values_total " + values + "\n"),
+            std::string::npos)
+      << prom;
+  EXPECT_NE(prom.find("\nnatix_string_value_bytes_total " + bytes + "\n"),
+            std::string::npos)
+      << prom;
+  const std::string json = metrics.SnapshotJson();
+  EXPECT_NE(json.find("\"string_values\":" + values + ","),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"string_value_bytes\":" + bytes + ","),
+            std::string::npos)
+      << json;
+  const std::string text = metrics.RenderText();
+  EXPECT_NE(text.find(" string_values=" + values + " "), std::string::npos)
+      << text;
+  EXPECT_NE(text.find(" string_value_bytes=" + bytes + " "),
+            std::string::npos)
+      << text;
 }
 
 #else  // NATIX_OBS_DISABLED

@@ -7,8 +7,6 @@
 #include <cmath>
 
 #include "algebra/operator.h"
-#include "algebra/rewriter.h"
-#include "analysis/nvm_optimizer.h"
 #include "analysis/plan_verifier.h"
 #include "nvm/assembler.h"
 #include "nvm/vm.h"
@@ -386,8 +384,8 @@ TEST(NvmTest, NodeNavigation) {
 // The assembler patches forward-jump placeholders after emission; these
 // pin the edge cases of that fixup: a target that lands exactly on the
 // last instruction, an empty-body self-loop, and a backward branch. All
-// three must satisfy the Layer-3 verifier and survive the bytecode
-// optimizer (whose jump-chain chasing must not spin on a self-loop).
+// three must satisfy the Layer-3 verifier (whose dataflow worklist must
+// not spin on a self-loop).
 
 TEST(NvmJumpFixupTest, ShortCircuitTargetsStayInRange) {
   // Short-circuit or: the taken edge jumps over the rhs evaluation,
@@ -437,39 +435,24 @@ TEST(NvmJumpFixupTest, JumpToLastInstructionIsValid) {
   EXPECT_NE(status.message().find("out of range"), std::string::npos);
 }
 
-TEST(NvmJumpFixupTest, EmptyBodySelfLoopVerifiesAndOptimizerTerminates) {
+TEST(NvmJumpFixupTest, EmptyBodySelfLoopVerifies) {
   // `0: jump 0` — an empty-body loop. Structurally legal (it cannot
-  // fall off the end); both the verifier's dataflow worklist and the
-  // optimizer's jump-chain chasing must terminate on the cycle.
+  // fall off the end); the verifier's dataflow worklist must terminate
+  // on the cycle.
   Program program;
   program.code = {Instruction{OpCode::kJump, 0, 0, 0, 0},
                   Instruction{OpCode::kHalt, 0, 0, 0, 0}};
   program.register_count = 1;
   EXPECT_TRUE(analysis::VerifyProgram(program, 0, 0).ok());
-
-  algebra::RewriteLog log;
-  ASSERT_TRUE(
-      analysis::OptimizeNvmProgram(&program, "test", 0, 0, &log).ok());
-  // Whatever the passes did (the unreachable halt may be dropped), the
-  // result must still verify and still loop on pc 0.
-  EXPECT_TRUE(analysis::VerifyProgram(program, 0, 0).ok());
-  ASSERT_FALSE(program.code.empty());
-  EXPECT_EQ(program.code[0].op, OpCode::kJump);
-  EXPECT_EQ(program.code[0].b, 0);
 }
 
-TEST(NvmJumpFixupTest, BackwardBranchVerifiesAndOptimizes) {
+TEST(NvmJumpFixupTest, BackwardBranchVerifiesAndRuns) {
   Program program;
   program.code = {Instruction{OpCode::kLoadConst, 0, 0, 0, 0},
                   Instruction{OpCode::kJumpIfTrue, 0, 0, 0, 0},
                   Instruction{OpCode::kHalt, 0, 0, 0, 0}};
   program.register_count = 1;
   program.constants = {Value::Boolean(false)};
-  EXPECT_TRUE(analysis::VerifyProgram(program, 0, 0).ok());
-
-  algebra::RewriteLog log;
-  ASSERT_TRUE(
-      analysis::OptimizeNvmProgram(&program, "test", 0, 0, &log).ok());
   EXPECT_TRUE(analysis::VerifyProgram(program, 0, 0).ok());
   auto result = Vm(&program).Run(
       runtime::RegisterFile(0), runtime::EvalContext{}, {},
