@@ -10,7 +10,10 @@
 // Writes BENCH_serving.json. NATIX_BENCH_SMALL shrinks documents and
 // batch size for CI smoke runs. On a single-core container rising
 // client counts mostly measure queueing, not parallelism — the JSON
-// records hardware_threads so readers can tell.
+// records hardware_threads so readers can tell. Each row also carries
+// the phase's buffer-shard lock contention (obs::LockLedger::wait: the
+// contended acquisitions and the ms they spent blocked; zero under
+// NATIX_OBS=OFF).
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
@@ -25,6 +28,7 @@
 #include "gen/auction_generator.h"
 #include "gen/dblp_generator.h"
 #include "gen/xdoc_generator.h"
+#include "obs/lock_ledger.h"
 #include "obs/metrics.h"
 #include "server/http.h"
 #include "server/server.h"
@@ -70,6 +74,8 @@ struct PhaseResult {
   double qps = 0;
   double p50_ms = 0;
   double p99_ms = 0;
+  uint64_t shard_contended = 0;
+  double shard_wait_ms = 0;
 };
 
 double PercentileMs(std::vector<uint64_t>& latencies_ns, double q) {
@@ -84,6 +90,9 @@ PhaseResult RunPhase(int port, const std::vector<Scenario>& scenarios,
   std::atomic<size_t> cursor{0};
   std::atomic<size_t> failures{0};
   std::vector<std::vector<uint64_t>> latencies(clients);
+  const natix::obs::LockWait shard_before =
+      natix::obs::LockLedger::Global().wait(
+          natix::obs::LockClass::kBufferShard);
 
   const uint64_t begin_ns = natix::MonotonicNanos();
   std::vector<std::thread> workers;
@@ -121,6 +130,11 @@ PhaseResult RunPhase(int port, const std::vector<Scenario>& scenarios,
   result.qps = merged.empty() ? 0 : merged.size() / seconds;
   result.p50_ms = PercentileMs(merged, 0.50);
   result.p99_ms = PercentileMs(merged, 0.99);
+  const natix::obs::LockWait shard_after =
+      natix::obs::LockLedger::Global().wait(
+          natix::obs::LockClass::kBufferShard);
+  result.shard_contended = shard_after.contended - shard_before.contended;
+  result.shard_wait_ms = (shard_after.wait_ns - shard_before.wait_ns) / 1e6;
   return result;
 }
 
@@ -174,16 +188,19 @@ int main() {
               "%u hardware threads\n",
               requests_per_phase, scenarios.size(),
               std::thread::hardware_concurrency());
-  std::printf("%-8s %10s %10s %10s %10s %8s\n", "clients", "time[s]",
-              "req/sec", "p50[ms]", "p99[ms]", "fail");
+  std::printf("%-8s %10s %10s %10s %10s %8s %12s %14s\n", "clients",
+              "time[s]", "req/sec", "p50[ms]", "p99[ms]", "fail",
+              "shard_cont", "shard_wait[ms]");
 
   std::vector<PhaseResult> phases;
   for (size_t clients : {1u, 2u, 4u, 8u}) {
     PhaseResult phase =
         RunPhase(server.port(), scenarios, clients, requests_per_phase);
-    std::printf("%-8zu %10.3f %10.1f %10.3f %10.3f %8zu\n", phase.clients,
-                phase.seconds, phase.qps, phase.p50_ms, phase.p99_ms,
-                phase.failures);
+    std::printf("%-8zu %10.3f %10.1f %10.3f %10.3f %8zu %12llu %14.3f\n",
+                phase.clients, phase.seconds, phase.qps, phase.p50_ms,
+                phase.p99_ms, phase.failures,
+                static_cast<unsigned long long>(phase.shard_contended),
+                phase.shard_wait_ms);
     std::fflush(stdout);
     phases.push_back(phase);
 
@@ -210,10 +227,13 @@ int main() {
         buf, sizeof(buf),
         "    {\"clients\": %zu, \"requests\": %zu, \"seconds\": %.6f, "
         "\"qps\": %.2f, \"p50_ms\": %.4f, \"p99_ms\": %.4f, "
-        "\"failures\": %zu}%s\n",
+        "\"failures\": %zu, \"shard_contended\": %llu, "
+        "\"shard_wait_ms\": %.4f}%s\n",
         phases[i].clients, phases[i].requests, phases[i].seconds,
         phases[i].qps, phases[i].p50_ms, phases[i].p99_ms,
-        phases[i].failures, i + 1 < phases.size() ? "," : "");
+        phases[i].failures,
+        static_cast<unsigned long long>(phases[i].shard_contended),
+        phases[i].shard_wait_ms, i + 1 < phases.size() ? "," : "");
     out += buf;
   }
   out += "  ],\n  \"metrics\": " +

@@ -92,9 +92,9 @@ void PreparedQuery::Execution::BeginStats() {
   tuples_baseline_ = context_->tuples_produced;
   nvm_baseline_ = context_->nvm_insns_retired;
   strings_baseline_ = storage::ThreadStringValueCounters();
-  // Coherent per-query baseline: with concurrent executions over a
-  // striped pool, relaxed multi-counter reads could tear.
-  buffer_baseline_ = obs::SnapshotBufferCounters(store_->buffer_manager());
+  // The executing thread's own page I/O: concurrent executions over the
+  // shared pool do not leak into this one's counts.
+  buffer_baseline_ = storage::ThreadPageCounters();
   exec_begin_ns_ = obs::MonotonicNowNs();
 }
 
@@ -105,17 +105,13 @@ void PreparedQuery::Execution::EndStats() {
       storage::ThreadStringValueCounters() - strings_baseline_;
   last_stats_.string_values = strings.materializations;
   last_stats_.string_value_bytes = strings.bytes;
-  obs::BufferCounters now =
-      obs::SnapshotBufferCounters(store_->buffer_manager());
-  last_stats_.page_faults = now.page_reads - buffer_baseline_.page_reads;
+  const storage::PageCounters pages =
+      storage::ThreadPageCounters() - buffer_baseline_;
+  last_stats_.page_faults = pages.page_reads;
   if (obs::QueryStats* stats = context_->stats()) {
     // Query-level buffer deltas accumulate across evaluations alongside
     // the per-operator counters.
-    stats->buffer() += obs::BufferCounters{
-        now.page_reads - buffer_baseline_.page_reads,
-        now.page_hits - buffer_baseline_.page_hits,
-        now.page_writes - buffer_baseline_.page_writes,
-        now.evictions - buffer_baseline_.evictions};
+    stats->buffer() += pages;
     stats->strings() += strings;
     stats->RecordExecution();
   }

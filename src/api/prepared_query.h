@@ -20,7 +20,8 @@ namespace natix {
 struct ExecutionStats {
   /// Tuples produced by location-step (unnest-map) iterators.
   uint64_t step_tuples = 0;
-  /// Pages faulted into the buffer pool during the evaluation.
+  /// Pages this evaluation faulted into the buffer pool (counted on the
+  /// executing thread, so concurrent executions' faults are excluded).
   uint64_t page_faults = 0;
   /// NVM bytecode instructions retired by subscript programs.
   uint64_t nvm_insns = 0;

@@ -82,51 +82,4 @@ const char* OpCodeName(OpCode op) {
   return "?";
 }
 
-std::string Program::Disassemble() const {
-  std::string out;
-  for (size_t pc = 0; pc < code.size(); ++pc) {
-    const Instruction& ins = code[pc];
-    out += std::to_string(pc) + ": " + OpCodeName(ins.op) + " r" +
-           std::to_string(ins.a);
-    switch (ins.op) {
-      case OpCode::kLoadConst:
-        out += ", " + constants[ins.b].DebugString();
-        break;
-      case OpCode::kLoadAttr:
-        out += ", attr#" + std::to_string(ins.b);
-        break;
-      case OpCode::kLoadVar:
-        out += ", $" + variable_names[ins.b];
-        break;
-      case OpCode::kJump:
-      case OpCode::kJumpIfTrue:
-      case OpCode::kJumpIfFalse:
-        out += " -> " + std::to_string(ins.b);
-        break;
-      case OpCode::kEvalNested:
-        out += ", nested#" + std::to_string(ins.b);
-        break;
-      case OpCode::kCompare:
-        out += ", r" + std::to_string(ins.b) + ", r" + std::to_string(ins.c) +
-               ", op#" + std::to_string(ins.d);
-        break;
-      case OpCode::kCmpAttrConst:
-        out += ", attr#" + std::to_string(ins.b) + ", " +
-               constants[ins.c].DebugString() + ", op#" +
-               std::to_string(ins.d);
-        break;
-      case OpCode::kHalt:
-        break;
-      default:
-        out += ", r" + std::to_string(ins.b);
-        if (ins.c != 0 || ins.op == OpCode::kConcat2) {
-          out += ", r" + std::to_string(ins.c);
-        }
-        break;
-    }
-    out += "\n";
-  }
-  return out;
-}
-
 }  // namespace natix::nvm

@@ -85,9 +85,6 @@ struct Program {
   std::vector<std::string> variable_names;
   /// Number of NVM registers the program uses.
   uint16_t register_count = 0;
-
-  /// Disassembly for tests and plan explain output.
-  std::string Disassemble() const;
 };
 
 }  // namespace natix::nvm

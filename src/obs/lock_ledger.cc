@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "obs/metrics.h"
+
 namespace natix::obs {
 
 const char* LockClassName(LockClass cls) {
@@ -82,6 +84,15 @@ void LockLedger::Acquired(LockClass cls, uintptr_t instance) {
     std::abort();
   }
   held.push_back({cls, instance});
+}
+
+void LockLedger::LockContended(std::mutex& mu, LockClass cls) {
+  const uint64_t begin_ns = MonotonicNowNs();
+  mu.lock();
+  const int c = static_cast<int>(cls);
+  contended_[c].fetch_add(1, std::memory_order_relaxed);
+  wait_ns_[c].fetch_add(MonotonicNowNs() - begin_ns,
+                        std::memory_order_relaxed);
 }
 
 void LockLedger::Released(LockClass cls, uintptr_t instance) {
@@ -195,9 +206,27 @@ std::string LockLedger::GraphJson() const {
   return out;
 }
 
+std::string LockLedger::WaitJson() const {
+  std::string out = "{";
+  for (int c = 0; c < kLockClassCount; ++c) {
+    const LockWait w = wait(static_cast<LockClass>(c));
+    if (c > 0) out += ",";
+    out += "\"";
+    out += LockClassName(static_cast<LockClass>(c));
+    out += "\":{\"contended\":" + std::to_string(w.contended) +
+           ",\"wait_ns\":" + std::to_string(w.wait_ns) + "}";
+  }
+  out += "}";
+  return out;
+}
+
 void LockLedger::Reset() {
   for (auto& row : edges_) {
     for (auto& cell : row) cell.store(0, std::memory_order_relaxed);
+  }
+  for (int c = 0; c < kLockClassCount; ++c) {
+    contended_[c].store(0, std::memory_order_relaxed);
+    wait_ns_[c].store(0, std::memory_order_relaxed);
   }
   order_violations_.store(0, std::memory_order_relaxed);
 }

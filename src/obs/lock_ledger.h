@@ -24,6 +24,13 @@
 //   "fail"           kFail    a cycle or same-class order violation
 //                             aborts the process (CI hard-fail job)
 //
+// Lock wait: independent of the mode, every guard below tries the mutex
+// first and reads the clock only when that fails, accumulating the
+// contended-acquisition count and the nanoseconds spent blocked per
+// class (LockLedger::wait). natixd exports them on /metrics
+// (natix_lock_wait_seconds_total / natix_lock_contended_total) and
+// /statusz ("lock_wait").
+//
 // Zero-cost discipline (src/obs/stats.h): under NATIX_OBS_DISABLED the
 // ledger collapses to inline no-ops and the guards become plain locks.
 
@@ -44,6 +51,12 @@ enum class LockClass : uint8_t {
 inline constexpr int kLockClassCount = 6;
 
 const char* LockClassName(LockClass cls);
+
+/// Contention of one lock class since process start (or Reset()).
+struct LockWait {
+  uint64_t contended = 0;  ///< acquisitions that found the mutex held
+  uint64_t wait_ns = 0;    ///< time those acquisitions spent blocked
+};
 
 #if !defined(NATIX_OBS_DISABLED)
 
@@ -90,14 +103,26 @@ class LockLedger {
   /// order-violation count.
   std::string GraphJson() const;
 
-  /// Clears edges and violation counts (tests). Held-stacks of live
-  /// threads are untouched.
+  /// Blocks on `mu` (whose try_lock just failed) and charges the wait
+  /// to `cls`.
+  void LockContended(std::mutex& mu, LockClass cls);
+  LockWait wait(LockClass cls) const {
+    return {contended_[static_cast<int>(cls)].load(std::memory_order_relaxed),
+            wait_ns_[static_cast<int>(cls)].load(std::memory_order_relaxed)};
+  }
+  /// JSON for /statusz: {"<class>":{"contended":N,"wait_ns":N},...}.
+  std::string WaitJson() const;
+
+  /// Clears edges, violation counts and lock waits (tests). Held-stacks
+  /// of live threads are untouched.
   void Reset();
 
  private:
   LockLedger();
 
   std::atomic<uint64_t> edges_[kLockClassCount][kLockClassCount] = {};
+  std::atomic<uint64_t> contended_[kLockClassCount] = {};
+  std::atomic<uint64_t> wait_ns_[kLockClassCount] = {};
   std::atomic<uint64_t> order_violations_{0};
   std::atomic<int> mode_{0};
 };
@@ -112,7 +137,7 @@ class LedgeredMutexLock {
         cls_(cls),
         instance_(instance != 0 ? instance
                                 : reinterpret_cast<uintptr_t>(&mu)) {
-    mu_.lock();
+    if (!mu_.try_lock()) LockLedger::Global().LockContended(mu_, cls_);
     LockLedger::Global().Acquired(cls_, instance_);
   }
   ~LedgeredMutexLock() {
@@ -134,10 +159,14 @@ class LedgeredMutexLock {
 class LedgeredUniqueLock {
  public:
   LedgeredUniqueLock(std::mutex& mu, LockClass cls, uintptr_t instance = 0)
-      : lock_(mu),
+      : lock_(mu, std::defer_lock),
         cls_(cls),
         instance_(instance != 0 ? instance
                                 : reinterpret_cast<uintptr_t>(&mu)) {
+    if (!lock_.try_lock()) {
+      LockLedger::Global().LockContended(mu, cls_);
+      lock_ = std::unique_lock<std::mutex>(mu, std::adopt_lock);
+    }
     LockLedger::Global().Acquired(cls_, instance_);
   }
   ~LedgeredUniqueLock() { LockLedger::Global().Released(cls_, instance_); }
@@ -169,6 +198,8 @@ class LockLedger {
   std::vector<std::string> Cycles() const { return {}; }
   uint64_t order_violations() const { return 0; }
   std::string GraphJson() const { return "{\"disabled\":true}"; }
+  LockWait wait(LockClass) const { return {}; }
+  std::string WaitJson() const { return "{\"disabled\":true}"; }
   void Reset() {}
 };
 

@@ -5,6 +5,8 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "obs/lock_ledger.h"
+
 namespace natix::obs {
 
 namespace {
@@ -159,6 +161,31 @@ std::string RenderPrometheus(const MetricsRegistry& registry) {
   AppendPrometheusGauge(&out, "natix_requests_in_flight",
                         "Requests currently executing",
                         registry.requests_in_flight.value());
+  // Lock contention per ledger class (process-wide, like the registry).
+  char buf[128];
+  AppendMeta(&out, "natix_lock_wait_seconds_total",
+             "Time acquisitions spent blocked on a held mutex, per lock "
+             "class",
+             "counter");
+  for (int c = 0; c < kLockClassCount; ++c) {
+    const LockClass cls = static_cast<LockClass>(c);
+    std::snprintf(buf, sizeof(buf),
+                  "natix_lock_wait_seconds_total{class=\"%s\"} %.9f\n",
+                  LockClassName(cls),
+                  static_cast<double>(LockLedger::Global().wait(cls).wait_ns) /
+                      1e9);
+    out += buf;
+  }
+  AppendMeta(&out, "natix_lock_contended_total",
+             "Acquisitions that found the mutex held, per lock class",
+             "counter");
+  for (int c = 0; c < kLockClassCount; ++c) {
+    const LockClass cls = static_cast<LockClass>(c);
+    std::snprintf(buf, sizeof(buf),
+                  "natix_lock_contended_total{class=\"%s\"} %" PRIu64 "\n",
+                  LockClassName(cls), LockLedger::Global().wait(cls).contended);
+    out += buf;
+  }
   return out;
 }
 

@@ -63,20 +63,6 @@ BufferCounters CaptureBufferCounters(const storage::BufferManager* buffer) {
   return out;
 }
 
-BufferCounters SnapshotBufferCounters(const storage::BufferManager* buffer) {
-  BufferCounters out;
-  if (buffer == nullptr) return out;
-  // One coherent snapshot (all shard locks held) instead of four
-  // independent relaxed reads: per-query deltas computed from two
-  // captures can't tear across pool stripes while other queries run.
-  storage::BufferManager::CounterSnapshot snap = buffer->Snapshot();
-  out.page_reads = snap.faults;
-  out.page_hits = snap.hits;
-  out.page_writes = snap.writes;
-  out.evictions = snap.evictions;
-  return out;
-}
-
 uint64_t OpStats::exclusive_ns() const {
   uint64_t child_ns = 0;
   for (const OpStats* c : children) child_ns += c->inclusive_ns;
@@ -261,22 +247,17 @@ const OpStats* QueryStats::FindOp(const std::string& prefix) const {
 ScopedOpTimer::ScopedOpTimer(OpStats* stats)
     : stats_(stats),
       begin_(std::chrono::steady_clock::now()),
-      strings_begin_(storage::ThreadStringValueCounters()) {
-  if (stats_->buffer != nullptr) {
-    buffer_begin_ = CaptureBufferCounters(stats_->buffer);
-  }
-}
+      buffer_begin_(storage::ThreadPageCounters()),
+      strings_begin_(storage::ThreadStringValueCounters()) {}
 
 ScopedOpTimer::~ScopedOpTimer() {
   auto end = std::chrono::steady_clock::now();
   stats_->inclusive_ns += static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(end - begin_)
           .count());
-  if (stats_->buffer != nullptr) {
-    BufferCounters now = CaptureBufferCounters(stats_->buffer);
-    stats_->inclusive_page_reads += now.page_reads - buffer_begin_.page_reads;
-    stats_->inclusive_page_hits += now.page_hits - buffer_begin_.page_hits;
-  }
+  const BufferCounters pages = storage::ThreadPageCounters() - buffer_begin_;
+  stats_->inclusive_page_reads += pages.page_reads;
+  stats_->inclusive_page_hits += pages.page_hits;
   storage::StringValueCounters strings =
       storage::ThreadStringValueCounters() - strings_begin_;
   stats_->inclusive_string_values += strings.materializations;

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "storage/page_counters.h"
 #include "storage/string_value_counters.h"
 
 // Compile-time kill switch for the whole observability layer: with
@@ -23,34 +24,16 @@ class BufferManager;
 
 namespace natix::obs {
 
-/// Snapshot of the buffer manager's global counters. Used both for
-/// point-in-time captures (per-operator attribution) and for deltas
-/// (per-query totals).
-struct BufferCounters {
-  uint64_t page_reads = 0;   ///< pages faulted in from the file
-  uint64_t page_hits = 0;    ///< fixes served from the pool
-  uint64_t page_writes = 0;  ///< dirty pages written back
-  uint64_t evictions = 0;    ///< frames reclaimed from the LRU list
+/// Page I/O counters (storage::PageCounters). Per-query totals and
+/// per-operator attribution are deltas of the executing thread's
+/// counters (storage::ThreadPageCounters), so concurrent executions
+/// never see each other's fixes.
+using BufferCounters = storage::PageCounters;
 
-  BufferCounters& operator+=(const BufferCounters& o) {
-    page_reads += o.page_reads;
-    page_hits += o.page_hits;
-    page_writes += o.page_writes;
-    evictions += o.evictions;
-    return *this;
-  }
-};
-
-/// Reads the current counters of `buffer` (all zero for null) with four
-/// independent relaxed loads: cheap enough for the per-operator timer's
-/// hot path, but the four values can tear across pool stripes while
-/// other queries run. Use SnapshotBufferCounters for per-query deltas.
+/// Reads the pool-wide counters of `buffer` (all zero for null) with
+/// independent relaxed loads; the values can tear across pool stripes
+/// while other queries run.
 BufferCounters CaptureBufferCounters(const storage::BufferManager* buffer);
-
-/// Reads the counters as one coherent snapshot (every pool-stripe lock
-/// held across the four reads — BufferManager::Snapshot), so deltas of
-/// two snapshots never tear across shards.
-BufferCounters SnapshotBufferCounters(const storage::BufferManager* buffer);
 
 /// Per-operator counters of one compiled plan, arranged as a tree
 /// mirroring the physical iterator tree (nested subscript plans hang off
@@ -90,9 +73,6 @@ struct OpStats {
   uint64_t agg_input = 0;       ///< nested aggregate: tuples consumed
   uint64_t early_exits = 0;     ///< smart aggregation / existential
                                 ///< probes stopped before exhaustion
-
-  /// Source for per-call page I/O attribution (null: skip capture).
-  const storage::BufferManager* buffer = nullptr;
 
   std::vector<OpStats*> children;
 
@@ -152,8 +132,9 @@ class QueryStats {
   void set_root(OpStats* root) { root_ = root; }
   const OpStats* root() const { return root_; }
 
-  /// Buffer-manager deltas summed over all evaluations (maintained by
-  /// the API layer around each Evaluate* call).
+  /// Page I/O deltas of the executing thread summed over all
+  /// evaluations (maintained by the API layer around each Evaluate*
+  /// call).
   BufferCounters& buffer() { return buffer_; }
   const BufferCounters& buffer() const { return buffer_; }
 

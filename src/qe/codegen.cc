@@ -281,9 +281,7 @@ class CodegenImpl {
   /// collection is off, so every call site stays branch-free.
   obs::OpStats* NewStats(std::string label) {
     if (qstats_ == nullptr) return nullptr;
-    obs::OpStats* node = qstats_->NewOp(std::move(label));
-    node->buffer = store_->buffer_manager();
-    return node;
+    return qstats_->NewOp(std::move(label));
   }
 
   /// Links children and binds the node to its iterator. Null children

@@ -500,7 +500,7 @@ std::string Server::RenderMetrics() const {
   obs::AppendPrometheusCounter(&out, "natix_buffer_writes_total",
                                "Dirty pages written back.", snap.writes);
   obs::AppendPrometheusCounter(&out, "natix_buffer_evictions_total",
-                               "Frames reclaimed from an LRU list.",
+                               "Frames reclaimed by the CLOCK hand.",
                                snap.evictions);
   size_t resident = 0;
   for (const storage::BufferManager::ShardSnapshot& shard :
@@ -629,6 +629,8 @@ std::string Server::RenderStatus() const {
   }
   out += "],\"lock_ledger\":";
   out += obs::LockLedger::Global().GraphJson();
+  out += ",\"lock_wait\":";
+  out += obs::LockLedger::Global().WaitJson();
   out += "}\n";
   return out;
 }

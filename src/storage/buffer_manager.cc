@@ -1,7 +1,9 @@
 #include "storage/buffer_manager.h"
 
+#include <bit>
 #include <cstring>
 #include <memory>
+#include <thread>
 
 #include "base/logging.h"
 #include "obs/lock_ledger.h"
@@ -14,6 +16,26 @@ namespace {
 /// mutex address" meaning in the guard, and ascending with the index —
 /// the order Snapshot() takes them in.
 uintptr_t ShardInstance(size_t s) { return static_cast<uintptr_t>(s + 1); }
+
+thread_local PageCounters tls_page_counters;
+
+// Page-table slots pack (page id << 32 | frame index); a free slot holds
+// kInvalidPage as its page, which is never mapped.
+constexpr uint64_t kEmptySlot = ~uint64_t{0};
+
+uint64_t PackSlot(PageId id, size_t frame) {
+  return (static_cast<uint64_t>(id) << 32) | static_cast<uint64_t>(frame);
+}
+PageId SlotPage(uint64_t slot) { return static_cast<PageId>(slot >> 32); }
+size_t SlotFrame(uint64_t slot) {
+  return static_cast<size_t>(slot & 0xFFFFFFFFu);
+}
+/// Fibonacci hashing: page ids are dense and strided by the shard
+/// count; the multiply spreads them over the table's low bits.
+size_t SlotHash(PageId id) {
+  return static_cast<size_t>((static_cast<uint64_t>(id) *
+                              0x9E3779B97F4A7C15ull) >> 32);
+}
 
 }  // namespace
 
@@ -60,33 +82,42 @@ void PageHandle::Release() {
 
 const uint8_t* PageHandle::data() const {
   NATIX_DCHECK(valid());
-  return manager_->frames_[frame_].data.get();
+  return manager_->frames_[frame_].data;
 }
 
 uint8_t* PageHandle::mutable_data() {
   NATIX_DCHECK(valid());
   manager_->frames_[frame_].dirty.store(true, std::memory_order_relaxed);
-  return manager_->frames_[frame_].data.get();
+  return manager_->frames_[frame_].data;
 }
 
 BufferManager::BufferManager(PagedFile* file, size_t capacity, size_t shards)
-    : file_(file), frames_(capacity), shards_(shards == 0 ? 1 : shards) {
+    : file_(file),
+      page_memory_(
+          std::make_unique_for_overwrite<uint8_t[]>(capacity * kPageSize)),
+      frames_(capacity),
+      shards_(shards == 0 ? 1 : shards) {
   NATIX_CHECK(capacity >= shards_.size());
+  NATIX_CHECK(capacity < 0xFFFFFFFFu);  // frame indices pack in 32 bits
   // Distribute frames over shards as evenly as possible; shard s owns a
-  // contiguous run of global frame indices.
+  // contiguous run of global frame indices, which its hand walks in
+  // order (so an empty pool hands out frames lowest-index-first).
   size_t next = 0;
   for (size_t s = 0; s < shards_.size(); ++s) {
-    size_t count = capacity / shards_.size() +
-                   (s < capacity % shards_.size() ? 1 : 0);
-    shards_[s].free_frames.reserve(count);
-    size_t begin = next;
-    for (size_t i = 0; i < count; ++i, ++next) {
+    Shard& shard = shards_[s];
+    shard.first_frame = next;
+    shard.frame_count = capacity / shards_.size() +
+                        (s < capacity % shards_.size() ? 1 : 0);
+    for (size_t i = 0; i < shard.frame_count; ++i, ++next) {
       frames_[next].shard = static_cast<uint32_t>(s);
-      frames_[next].data = std::make_unique<uint8_t[]>(kPageSize);
-      // Free frames are handed out lowest-index-first (back of the list),
-      // matching the classic single-shard pool's allocation order.
-      shards_[s].free_frames.push_back(begin + count - 1 - i);
+      frames_[next].data = page_memory_.get() + next * kPageSize;
     }
+    const size_t slots = std::bit_ceil(2 * shard.frame_count);
+    shard.table = std::make_unique<std::atomic<uint64_t>[]>(slots);
+    for (size_t i = 0; i < slots; ++i) {
+      shard.table[i].store(kEmptySlot, std::memory_order_relaxed);
+    }
+    shard.table_mask = slots - 1;
   }
 }
 
@@ -96,93 +127,187 @@ BufferManager::~BufferManager() {
   (void)FlushAll();
 }
 
+size_t BufferManager::Lookup(const Shard& shard, PageId id) const {
+  // A probe racing a deletion's backward shift can miss an entry; that
+  // only sends the caller to the locked path.
+  for (size_t i = SlotHash(id) & shard.table_mask, probes = 0;
+       probes <= shard.table_mask; i = (i + 1) & shard.table_mask, ++probes) {
+    const uint64_t slot = shard.table[i].load(std::memory_order_relaxed);
+    if (slot == kEmptySlot) return kNoFrame;
+    if (SlotPage(slot) == id) return SlotFrame(slot);
+  }
+  return kNoFrame;
+}
+
+void BufferManager::InsertMapping(Shard& shard, PageId id, size_t frame) {
+  size_t i = SlotHash(id) & shard.table_mask;
+  while (shard.table[i].load(std::memory_order_relaxed) != kEmptySlot) {
+    i = (i + 1) & shard.table_mask;
+  }
+  shard.table[i].store(PackSlot(id, frame), std::memory_order_relaxed);
+}
+
+void BufferManager::EraseMapping(Shard& shard, PageId id) {
+  const size_t mask = shard.table_mask;
+  size_t hole = SlotHash(id) & mask;
+  while (SlotPage(shard.table[hole].load(std::memory_order_relaxed)) != id) {
+    hole = (hole + 1) & mask;
+  }
+  // Backward-shift deletion: move each later entry of the probe run
+  // whose home slot does not lie cyclically in (hole, j] into the hole.
+  for (size_t j = (hole + 1) & mask;; j = (j + 1) & mask) {
+    const uint64_t slot = shard.table[j].load(std::memory_order_relaxed);
+    if (slot == kEmptySlot) break;
+    const size_t home = SlotHash(SlotPage(slot)) & mask;
+    const bool stays = hole <= j ? (hole < home && home <= j)
+                                 : (hole < home || home <= j);
+    if (stays) continue;
+    shard.table[hole].store(slot, std::memory_order_relaxed);
+    hole = j;
+  }
+  shard.table[hole].store(kEmptySlot, std::memory_order_relaxed);
+}
+
+bool BufferManager::TryPin(size_t frame, PageId id) {
+  Frame& f = frames_[frame];
+  uint32_t pins = f.pin_count.load(std::memory_order_relaxed);
+  do {
+    if (pins == kEvicting) return false;
+    // Acquire pairs with Publish's release: a pin taken after a reload
+    // sees the reloaded page id and bytes.
+  } while (!f.pin_count.compare_exchange_weak(pins, pins + 1,
+                                              std::memory_order_acquire,
+                                              std::memory_order_relaxed));
+  // Held, the pin keeps the frame from being claimed, so the page id
+  // cannot change under the check.
+  if (f.page_id.load(std::memory_order_acquire) == id) return true;
+  f.pin_count.fetch_sub(1, std::memory_order_release);
+  return false;
+}
+
 void BufferManager::Pin(size_t frame) {
   // Only reachable by copying a valid handle: the frame is already
-  // pinned, hence not in any LRU list and not evictable — a plain
-  // increment suffices, no shard lock.
+  // pinned, hence not claimable — a plain increment suffices.
   uint32_t prev =
       frames_[frame].pin_count.fetch_add(1, std::memory_order_relaxed);
-  NATIX_DCHECK(prev > 0);
+  NATIX_DCHECK(prev > 0 && prev != kEvicting);
   (void)prev;
 }
 
 void BufferManager::Unpin(size_t frame) {
   Frame& f = frames_[frame];
-  uint32_t prev = f.pin_count.fetch_sub(1, std::memory_order_acq_rel);
-  NATIX_DCHECK(prev > 0);
-  if (prev != 1) return;
-  // Possibly the last pin: move the frame to its shard's LRU list. The
-  // frame may have been re-pinned by a concurrent FixPage between the
-  // decrement and the lock, so every condition is re-checked under the
-  // shard mutex (FixPage holds it for the matching transitions).
-  Shard& shard = shards_[f.shard];
-  obs::LedgeredMutexLock lock(shard.mutex, obs::LockClass::kBufferShard,
-                              ShardInstance(f.shard));
-  if (f.pin_count.load(std::memory_order_relaxed) == 0 && !f.in_lru &&
-      f.page_id != kInvalidPage) {
-    f.lru_pos = shard.lru.insert(shard.lru.end(), frame);
-    f.in_lru = true;
-  }
+  // The reference bit goes first, so the hand never sees the frame
+  // unpinned without it; release pairs with ClaimFrame's acquire, so a
+  // write-back sees the writer's bytes.
+  f.referenced.store(true, std::memory_order_relaxed);
+  uint32_t prev = f.pin_count.fetch_sub(1, std::memory_order_release);
+  NATIX_DCHECK(prev > 0 && prev != kEvicting);
+  (void)prev;
 }
 
 StatusOr<size_t> BufferManager::ClaimFrame(Shard& shard) {
-  if (!shard.free_frames.empty()) {
-    size_t frame = shard.free_frames.back();
-    shard.free_frames.pop_back();
-    return frame;
+  PageCounters& counters = ThreadPageCounters();
+  // Two turns of the hand. The first gives referenced frames their
+  // second chance (clearing the bit); the second takes any unpinned
+  // frame, so hits that re-reference frames during the sweep cannot
+  // starve it. A failed second turn is retried once after yielding: a
+  // frame may carry a transient pin from a lock-free hit that is about
+  // to back off.
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    if (attempt > 0) std::this_thread::yield();
+    for (size_t step = 0; step < 2 * shard.frame_count; ++step) {
+      const size_t frame = shard.first_frame + shard.hand;
+      if (++shard.hand == shard.frame_count) shard.hand = 0;
+      Frame& f = frames_[frame];
+      if (f.pin_count.load(std::memory_order_relaxed) != 0) continue;
+      if (step < shard.frame_count &&
+          f.referenced.exchange(false, std::memory_order_relaxed)) {
+        continue;
+      }
+      uint32_t unpinned = 0;
+      if (!f.pin_count.compare_exchange_strong(unpinned, kEvicting,
+                                               std::memory_order_acquire,
+                                               std::memory_order_relaxed)) {
+        continue;  // pinned by a hit since the load above
+      }
+      const PageId victim = f.page_id.load(std::memory_order_relaxed);
+      if (victim != kInvalidPage) {
+        if (f.dirty.load(std::memory_order_relaxed)) {
+          Status st = file_->WritePage(victim, f.data);
+          if (!st.ok()) {
+            f.pin_count.store(0, std::memory_order_release);
+            return st;
+          }
+          f.dirty.store(false, std::memory_order_relaxed);
+          shard.writes.fetch_add(1, std::memory_order_relaxed);
+          ++counters.page_writes;
+        }
+        EraseMapping(shard, victim);
+        --shard.resident;
+        f.page_id.store(kInvalidPage, std::memory_order_relaxed);
+        shard.evictions.fetch_add(1, std::memory_order_relaxed);
+        ++counters.evictions;
+      }
+      f.referenced.store(false, std::memory_order_relaxed);
+      return frame;
+    }
   }
-  if (shard.lru.empty()) {
-    return Status::ResourceExhausted(
-        "buffer pool exhausted: all frames of the page's shard are pinned");
-  }
-  size_t frame = shard.lru.front();
-  shard.lru.pop_front();
+  return Status::ResourceExhausted(
+      "buffer pool exhausted: all frames of the page's shard are pinned");
+}
+
+PageHandle BufferManager::Publish(Shard& shard, size_t frame, PageId id,
+                                  bool dirty) {
   Frame& f = frames_[frame];
-  f.in_lru = false;
-  if (f.dirty.load(std::memory_order_relaxed)) {
-    NATIX_RETURN_IF_ERROR(file_->WritePage(f.page_id, f.data.get()));
-    f.dirty.store(false, std::memory_order_relaxed);
-    shard.writes.fetch_add(1, std::memory_order_relaxed);
-  }
-  shard.page_table.erase(f.page_id);
-  f.page_id = kInvalidPage;
-  shard.evictions.fetch_add(1, std::memory_order_relaxed);
-  return frame;
+  f.dirty.store(dirty, std::memory_order_relaxed);
+  f.page_id.store(id, std::memory_order_release);
+  InsertMapping(shard, id, frame);
+  ++shard.resident;
+  // Ends the kEvicting state: hits may pin the frame from here on.
+  f.pin_count.store(1, std::memory_order_release);
+  return PageHandle(this, id, frame);
 }
 
 StatusOr<PageHandle> BufferManager::FixPage(PageId id) {
   const size_t shard_index = ShardOf(id);
+  const size_t frame = Lookup(shards_[shard_index], id);
+  if (frame != kNoFrame && TryPin(frame, id)) {
+    frames_[frame].hits.fetch_add(1, std::memory_order_relaxed);
+    ++ThreadPageCounters().page_hits;
+    return PageHandle(this, id, frame);
+  }
+  return FixPageLocked(shard_index, id);
+}
+
+StatusOr<PageHandle> BufferManager::FixPageLocked(size_t shard_index,
+                                                  PageId id) {
   Shard& shard = shards_[shard_index];
   obs::LedgeredMutexLock lock(shard.mutex, obs::LockClass::kBufferShard,
                               ShardInstance(shard_index));
-  auto it = shard.page_table.find(id);
-  if (it != shard.page_table.end()) {
-    size_t frame = it->second;
+  PageCounters& counters = ThreadPageCounters();
+  size_t frame = Lookup(shard, id);
+  if (frame != kNoFrame) {
+    // Under the mutex no frame of this shard is being reloaded, so the
+    // mapping is exact and the frame can be pinned directly.
     Frame& f = frames_[frame];
-    if (f.in_lru) {
-      shard.lru.erase(f.lru_pos);
-      f.in_lru = false;
-    }
-    f.pin_count.fetch_add(1, std::memory_order_relaxed);
-    shard.hits.fetch_add(1, std::memory_order_relaxed);
+    f.pin_count.fetch_add(1, std::memory_order_acquire);
+    f.hits.fetch_add(1, std::memory_order_relaxed);
+    ++counters.page_hits;
     return PageHandle(this, id, frame);
   }
   shard.faults.fetch_add(1, std::memory_order_relaxed);
-  NATIX_ASSIGN_OR_RETURN(size_t frame, ClaimFrame(shard));
+  ++counters.page_reads;
+  NATIX_ASSIGN_OR_RETURN(frame, ClaimFrame(shard));
   Frame& f = frames_[frame];
   // The read runs under the shard lock: faults on one stripe serialize,
-  // but hits and faults on other stripes proceed (PagedFile reads are
+  // but hits, and faults on other stripes, proceed (PagedFile reads are
   // positioned pread calls, safe concurrently).
-  Status st = file_->ReadPage(id, f.data.get());
+  Status st = file_->ReadPage(id, f.data);
   if (!st.ok()) {
-    shard.free_frames.push_back(frame);
+    f.pin_count.store(0, std::memory_order_release);  // stays empty
     return st;
   }
-  f.page_id = id;
-  f.pin_count.store(1, std::memory_order_relaxed);
-  f.dirty.store(false, std::memory_order_relaxed);
-  shard.page_table[id] = frame;
-  return PageHandle(this, id, frame);
+  return Publish(shard, frame, id, /*dirty=*/false);
 }
 
 StatusOr<PageHandle> BufferManager::NewPage() {
@@ -197,36 +322,49 @@ StatusOr<PageHandle> BufferManager::NewPage() {
   obs::LedgeredMutexLock lock(shard.mutex, obs::LockClass::kBufferShard,
                               ShardInstance(shard_index));
   NATIX_ASSIGN_OR_RETURN(size_t frame, ClaimFrame(shard));
-  Frame& f = frames_[frame];
-  std::memset(f.data.get(), 0, kPageSize);
-  f.page_id = id;
-  f.pin_count.store(1, std::memory_order_relaxed);
-  f.dirty.store(true, std::memory_order_relaxed);
-  shard.page_table[id] = frame;
-  return PageHandle(this, id, frame);
+  std::memset(frames_[frame].data, 0, kPageSize);
+  return Publish(shard, frame, id, /*dirty=*/true);
 }
 
 Status BufferManager::FlushAll() {
+  PageCounters& counters = ThreadPageCounters();
   for (size_t s = 0; s < shards_.size(); ++s) {
     Shard& shard = shards_[s];
     obs::LedgeredMutexLock lock(shard.mutex, obs::LockClass::kBufferShard,
                                 ShardInstance(s));
-    for (Frame& f : frames_) {
-      if (f.shard != s) continue;
-      if (f.page_id != kInvalidPage &&
-          f.dirty.load(std::memory_order_relaxed)) {
-        NATIX_RETURN_IF_ERROR(file_->WritePage(f.page_id, f.data.get()));
+    for (size_t i = 0; i < shard.frame_count; ++i) {
+      Frame& f = frames_[shard.first_frame + i];
+      const PageId id = f.page_id.load(std::memory_order_relaxed);
+      if (id != kInvalidPage && f.dirty.load(std::memory_order_relaxed)) {
+        NATIX_RETURN_IF_ERROR(file_->WritePage(id, f.data));
         f.dirty.store(false, std::memory_order_relaxed);
         shard.writes.fetch_add(1, std::memory_order_relaxed);
+        ++counters.page_writes;
       }
     }
   }
   return Status::OK();
 }
 
+uint64_t BufferManager::ShardHits(const Shard& shard) const {
+  uint64_t total = 0;
+  for (size_t i = 0; i < shard.frame_count; ++i) {
+    total += frames_[shard.first_frame + i].hits.load(
+        std::memory_order_relaxed);
+  }
+  return total;
+}
+
+uint64_t BufferManager::hit_count() const {
+  uint64_t total = 0;
+  for (const Shard& shard : shards_) total += ShardHits(shard);
+  return total;
+}
+
 BufferManager::CounterSnapshot BufferManager::Snapshot() const {
   // Lock every shard (in index order — the only multi-shard acquisition,
-  // so no ordering conflicts), then read: no increment can interleave.
+  // so no ordering conflicts), then read: no fault, write or eviction
+  // can interleave. Hits keep landing; they take no lock.
   std::vector<std::unique_ptr<obs::LedgeredMutexLock>> locks;
   locks.reserve(shards_.size());
   for (size_t s = 0; s < shards_.size(); ++s) {
@@ -236,7 +374,7 @@ BufferManager::CounterSnapshot BufferManager::Snapshot() const {
   CounterSnapshot snap;
   for (const Shard& shard : shards_) {
     snap.faults += shard.faults.load(std::memory_order_relaxed);
-    snap.hits += shard.hits.load(std::memory_order_relaxed);
+    snap.hits += ShardHits(shard);
     snap.writes += shard.writes.load(std::memory_order_relaxed);
     snap.evictions += shard.evictions.load(std::memory_order_relaxed);
   }
@@ -253,13 +391,15 @@ std::vector<BufferManager::ShardSnapshot> BufferManager::ShardSnapshots()
                                 ShardInstance(s));
     ShardSnapshot snap;
     snap.faults = shard.faults.load(std::memory_order_relaxed);
-    snap.hits = shard.hits.load(std::memory_order_relaxed);
+    snap.hits = ShardHits(shard);
     snap.writes = shard.writes.load(std::memory_order_relaxed);
     snap.evictions = shard.evictions.load(std::memory_order_relaxed);
-    snap.resident_pages = shard.page_table.size();
+    snap.resident_pages = shard.resident;
     out.push_back(snap);
   }
   return out;
 }
+
+PageCounters& ThreadPageCounters() { return tls_page_counters; }
 
 }  // namespace natix::storage

@@ -3,14 +3,13 @@
 
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <mutex>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "base/status.h"
 #include "base/statusor.h"
+#include "storage/page_counters.h"
 #include "storage/paged_file.h"
 
 namespace natix::storage {
@@ -48,16 +47,23 @@ class PageHandle {
   size_t frame_ = 0;
 };
 
-/// A striped pin/unpin buffer manager with per-shard LRU replacement over
-/// a PagedFile — the "Natix page buffer" the paper's physical algebra
-/// navigates directly (Sec. 5.2.2).
+/// A striped pin/unpin buffer manager with per-shard CLOCK (second
+/// chance) replacement over a PagedFile — the "Natix page buffer" the
+/// paper's physical algebra navigates directly (Sec. 5.2.2).
 ///
 /// The pool is partitioned into `shards` independent stripes; a page
-/// belongs to the shard `page_id % shards`, and each shard serializes its
-/// own page table, free list and LRU behind its own mutex, so concurrent
-/// read-only executions contend per stripe instead of on one pool-wide
-/// lock. Pin counts are atomic per frame: copying an already-valid
-/// PageHandle (an extra pin on a pinned frame) never takes a lock.
+/// belongs to the shard `page_id % shards`, and each shard owns a fixed
+/// run of frames, an open-addressed page table and a clock hand.
+///
+/// A hit takes no lock and allocates nothing: FixPage probes the shard's
+/// page table without the lock, CAS-increments the frame's pin count
+/// and re-checks the frame's page id; on a mismatch (the frame was
+/// reloaded after the probe) it backs off to the locked path, which
+/// stays the authority — a false miss is only slower, never wrong.
+/// Unpin is a decrement plus setting the frame's reference bit. Only
+/// faults, NewPage, eviction and FlushAll take the shard mutex; eviction
+/// claims a victim by CAS-ing its pin count from 0 to a sentinel, so an
+/// optimistic pin can never land on a frame that is being reloaded.
 ///
 /// Thread safety: FixPage/NewPage/FlushAll/Snapshot and handle
 /// copy/release may be called from any thread. Writers (document
@@ -67,8 +73,7 @@ class BufferManager {
  public:
   /// `capacity` is the number of page frames held in memory, distributed
   /// as evenly as possible over `shards` stripes (capacity must be >=
-  /// shards; shards >= 1). One shard reproduces the classic single-lock,
-  /// single-LRU pool exactly.
+  /// shards; shards >= 1). One shard is the classic single-lock pool.
   BufferManager(PagedFile* file, size_t capacity, size_t shards = 1);
   ~BufferManager();
 
@@ -84,24 +89,26 @@ class BufferManager {
   /// Writes back all dirty frames.
   Status FlushAll();
 
-  /// A coherent point-in-time snapshot of all four counters: every shard
-  /// mutex is held while reading, so no increment can land between the
-  /// four reads. Per-query deltas in src/obs subtract two snapshots and
-  /// therefore never tear across shards (a torn read could otherwise
-  /// show, e.g., a fault without its matching eviction).
+  /// A point-in-time snapshot of all four counters. Faults, writes and
+  /// evictions are coherent: every shard mutex is held while reading and
+  /// they only change under it, so a fault cannot show without its
+  /// matching eviction. Hits are counted outside the lock (the hit path
+  /// takes none), so they are the sum at some instant during the call.
+  /// Per-query deltas do not use this: they read the executing thread's
+  /// PageCounters (ThreadPageCounters).
   struct CounterSnapshot {
     uint64_t faults = 0;     ///< pages faulted in from the file
     uint64_t hits = 0;       ///< fixes served from the pool
     uint64_t writes = 0;     ///< dirty pages written back
-    uint64_t evictions = 0;  ///< frames reclaimed from an LRU list
+    uint64_t evictions = 0;  ///< frames reclaimed by the clock hand
   };
   CounterSnapshot Snapshot() const;
 
-  /// Per-shard snapshot in shard order, plus the frames each shard
-  /// currently maps (its page-table size). Each shard is read under its
-  /// own mutex; unlike Snapshot() the shards are not locked jointly, so
-  /// cross-shard sums may skew by in-flight increments — fine for the
-  /// /statusz rendering this feeds.
+  /// Per-shard snapshot in shard order, plus the pages each shard
+  /// currently maps. Each shard is read under its own mutex; unlike
+  /// Snapshot() the shards are not locked jointly, so cross-shard sums
+  /// may skew by in-flight increments — fine for the /statusz rendering
+  /// this feeds.
   struct ShardSnapshot {
     uint64_t faults = 0;
     uint64_t hits = 0;
@@ -111,13 +118,13 @@ class BufferManager {
   };
   std::vector<ShardSnapshot> ShardSnapshots() const;
 
-  /// Statistics for tests, benchmarks, and the observability layer
-  /// (src/obs). Counters are relaxed atomics summed over shards: cheap to
+  /// Pool-wide statistics for tests, benchmarks, and natixd's surfaces.
+  /// Relaxed atomics summed over shards (hits over frames): cheap to
   /// read while other queries run, but a multi-counter read can tear —
-  /// use Snapshot() for coherent deltas.
+  /// use Snapshot() for coherent fault/eviction pairs.
   uint64_t fault_count() const { return SumCounter(&Shard::faults); }
   /// Fixes served from the pool without touching the file.
-  uint64_t hit_count() const { return SumCounter(&Shard::hits); }
+  uint64_t hit_count() const;
   /// Dirty pages written back (eviction or FlushAll).
   uint64_t write_count() const { return SumCounter(&Shard::writes); }
   uint64_t eviction_count() const { return SumCounter(&Shard::evictions); }
@@ -128,33 +135,53 @@ class BufferManager {
  private:
   friend class PageHandle;
 
-  struct Frame {
-    PageId page_id = kInvalidPage;
+  /// Pin count of a frame the shard mutex is reloading.
+  static constexpr uint32_t kEvicting = ~uint32_t{0};
+  /// Lookup result for "not in the page table".
+  static constexpr size_t kNoFrame = ~size_t{0};
+
+  /// One page frame, alone on its cache line: pins of different hot
+  /// pages do not share a line.
+  struct alignas(64) Frame {
+    /// Pins held by handles, or kEvicting while the shard mutex reloads
+    /// the frame. Lock-free hits CAS-increment it.
+    std::atomic<uint32_t> pin_count{0};
+    /// The page held (kInvalidPage when empty). Changed only under the
+    /// shard mutex while pin_count is kEvicting; hits re-check it after
+    /// pinning.
+    std::atomic<PageId> page_id{kInvalidPage};
+    /// CLOCK reference bit: set by Unpin, cleared by the passing hand.
+    std::atomic<bool> referenced{false};
+    /// Set by writers holding a pin; read by eviction / flush under the
+    /// shard mutex.
+    std::atomic<bool> dirty{false};
     /// The owning shard (fixed at construction).
     uint32_t shard = 0;
-    /// Atomic so an extra pin on an already-pinned frame (handle copy)
-    /// and the fast path of Unpin skip the shard mutex. A frame with
-    /// pin_count > 0 is never in an LRU list and never evicted.
-    std::atomic<uint32_t> pin_count{0};
-    /// Relaxed atomic: set by writers holding a pin, read by eviction /
-    /// flush under the shard mutex.
-    std::atomic<bool> dirty{false};
-    /// Position in the shard's lru when unpinned.
-    std::list<size_t>::iterator lru_pos;
-    bool in_lru = false;
-    std::unique_ptr<uint8_t[]> data;
+    /// Hits served by this frame, kept here rather than per shard so a
+    /// hit writes only the cache line its pin already owns.
+    std::atomic<uint64_t> hits{0};
+    /// This frame's kPageSize bytes within page_memory_.
+    uint8_t* data = nullptr;
   };
 
   struct Shard {
     mutable std::mutex mutex;
-    std::vector<size_t> free_frames;
-    /// Unpinned frames, least recently used first (global frame indices).
-    std::list<size_t> lru;
-    std::unordered_map<PageId, size_t> page_table;
-    // Counters are incremented only under `mutex`; atomic so the lock-free
-    // accessors above may read them concurrently.
+    /// The shard owns frames [first_frame, first_frame + frame_count).
+    size_t first_frame = 0;
+    size_t frame_count = 0;
+    /// Offset (within the shard's frames) the clock hand inspects next.
+    size_t hand = 0;
+    /// Pages currently mapped (under `mutex`).
+    size_t resident = 0;
+    /// Open-addressed page table, linear probing, at most half full:
+    /// each slot packs (page id << 32 | frame), kEmptySlot when free.
+    /// Written only under `mutex` (deletion shifts entries back, so
+    /// there are no tombstones); probed lock-free by hits.
+    std::unique_ptr<std::atomic<uint64_t>[]> table;
+    size_t table_mask = 0;
+    // Incremented only under `mutex`; atomic so the lock-free accessors
+    // above may read them concurrently.
     std::atomic<uint64_t> faults{0};
-    std::atomic<uint64_t> hits{0};
     std::atomic<uint64_t> writes{0};
     std::atomic<uint64_t> evictions{0};
   };
@@ -168,17 +195,36 @@ class BufferManager {
     }
     return total;
   }
+  uint64_t ShardHits(const Shard& shard) const;
 
+  /// The frame the shard's table maps `id` to, or kNoFrame. Exact under
+  /// the shard mutex; without it a hint that TryPin validates.
+  size_t Lookup(const Shard& shard, PageId id) const;
+  void InsertMapping(Shard& shard, PageId id, size_t frame);
+  void EraseMapping(Shard& shard, PageId id);
+
+  /// The lock-free hit: pins `frame` if it is not being reloaded and
+  /// still holds `id`.
+  bool TryPin(size_t frame, PageId id);
+  /// FixPage's authoritative path, under the shard mutex.
+  StatusOr<PageHandle> FixPageLocked(size_t shard_index, PageId id);
   void Pin(size_t frame);
   void Unpin(size_t frame);
-  /// Claims a frame for `shard` from its free list or by evicting its LRU
-  /// victim. Caller holds the shard mutex.
+  /// Runs the clock hand to claim an empty or evicted frame of `shard`,
+  /// left unmapped with pin_count kEvicting. Caller holds the mutex.
   StatusOr<size_t> ClaimFrame(Shard& shard);
+  /// Maps a claimed frame to `id` and publishes it with one pin.
+  PageHandle Publish(Shard& shard, size_t frame, PageId id, bool dirty);
 
   PagedFile* file_;
   /// Serializes PagedFile::AllocatePage (the file's page counter is not
   /// itself thread-safe).
   std::mutex alloc_mutex_;
+  /// The frames' bytes, one block left uninitialized: pages of frames
+  /// the pool never uses are never touched, so they cost address space,
+  /// not memory. A frame's bytes are written (ReadPage, or NewPage's
+  /// memset) before any handle exposes them.
+  std::unique_ptr<uint8_t[]> page_memory_;
   /// Globally indexed so PageHandle stays a (manager, frame) pair; each
   /// frame is owned by exactly one shard and never migrates.
   std::vector<Frame> frames_;

@@ -102,7 +102,8 @@ class NodeStore {
   struct Options {
     /// Buffer pool size in frames (pages).
     size_t buffer_pages = 4096;
-    /// Number of buffer-pool stripes (each with its own mutex and LRU).
+    /// Number of buffer-pool stripes (each with its own mutex, page
+    /// table and clock hand).
     /// 1 reproduces the classic single-lock pool; concurrent read-only
     /// workloads want one stripe per expected thread or so. Must not
     /// exceed buffer_pages.

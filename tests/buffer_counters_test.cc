@@ -1,7 +1,7 @@
 // Buffer-manager counter semantics: the page hit/miss/write/eviction
 // counters surfaced by the observability layer (src/obs) must match a
 // hand-computed trace. A 4-frame pool is driven through allocation,
-// re-fix, and eviction; every counter is asserted exactly.
+// re-fix, and CLOCK eviction; every counter is asserted exactly.
 
 #include <gtest/gtest.h>
 
@@ -17,10 +17,13 @@ TEST(BufferCountersTest, HandComputedTraceUnderFourPagePool) {
   ASSERT_TRUE(file.ok());
   BufferManager bm(file->get(), 4);
 
-  // Phase 1: allocate six pages p0..p5, dropping each pin immediately.
-  // NewPage marks frames dirty, so the two evictions (p4 evicts p0, p5
-  // evicts p1 — LRU order is creation order) each write back a page.
-  // Fresh allocations are not faults: nothing is read from the file.
+  // Phase 1: allocate six pages p0..p5, dropping each pin immediately
+  // (which sets the frame's reference bit). p0..p3 fill frames 0..3.
+  // p4's claim: the hand clears all four reference bits in one turn and
+  // takes frame 0 (p0); p5's takes frame 1 (p1), unreferenced since that
+  // turn. NewPage marks frames dirty, so both evictions write back a
+  // page. Fresh allocations are not faults: nothing is read from the
+  // file. Frames: {p4, p5, p2, p3}, hand at frame 2.
   PageId ids[6];
   for (int i = 0; i < 6; ++i) {
     auto page = bm.NewPage();
@@ -33,8 +36,9 @@ TEST(BufferCountersTest, HandComputedTraceUnderFourPagePool) {
   EXPECT_EQ(bm.eviction_count(), 2u);
   EXPECT_EQ(bm.write_count(), 2u);
 
-  // Phase 2: p0 left the pool, so fixing it faults it back in, evicting
-  // the LRU frame p2 (dirty: third write-back). Pool: {p0, p3, p4, p5}.
+  // Phase 2: p0 left the pool, so fixing it faults it back in. The hand
+  // is at frame 2, whose p2 is unreferenced: it is evicted (dirty: third
+  // write-back). Frames: {p4, p5, p0, p3}, hand at frame 3.
   {
     auto page = bm.FixPage(ids[0]);
     ASSERT_TRUE(page.ok());
@@ -44,14 +48,16 @@ TEST(BufferCountersTest, HandComputedTraceUnderFourPagePool) {
   EXPECT_EQ(bm.eviction_count(), 3u);
   EXPECT_EQ(bm.write_count(), 3u);
 
-  // Phase 3: p0 and p3 are resident — two hits, no I/O.
+  // Phase 3: p0 and p3 are resident — two hits, no I/O; both frames are
+  // referenced again.
   { auto page = bm.FixPage(ids[0]); ASSERT_TRUE(page.ok()); }
   { auto page = bm.FixPage(ids[3]); ASSERT_TRUE(page.ok()); }
   EXPECT_EQ(bm.hit_count(), 2u);
   EXPECT_EQ(bm.fault_count(), 1u);
 
-  // Phase 4: p1 is not resident. LRU order is now p4, p5, p0, p3 (the
-  // two hits refreshed p0 and p3), so the fault evicts dirty p4.
+  // Phase 4: p1 is not resident. Every frame is referenced, so the hand
+  // (from frame 3) clears all four bits in one turn and comes back to
+  // frame 3: the fault evicts dirty p3. Frames: {p4, p5, p0, p1}.
   {
     auto page = bm.FixPage(ids[1]);
     ASSERT_TRUE(page.ok());
@@ -61,7 +67,7 @@ TEST(BufferCountersTest, HandComputedTraceUnderFourPagePool) {
   EXPECT_EQ(bm.eviction_count(), 4u);
   EXPECT_EQ(bm.write_count(), 4u);
 
-  // Phase 5: FlushAll writes exactly the dirty residents. p5 and p3 are
+  // Phase 5: FlushAll writes exactly the dirty residents. p4 and p5 are
   // dirty since creation; p0 and p1 were reloaded from disk (clean).
   ASSERT_TRUE(bm.FlushAll().ok());
   EXPECT_EQ(bm.write_count(), 6u);

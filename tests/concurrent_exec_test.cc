@@ -192,5 +192,80 @@ TEST(ConcurrentExecTest, CoherentSnapshotsNeverTearUnderLoad) {
   EXPECT_EQ(sampler_failures.load(), 0);
 }
 
+TEST(ConcurrentExecTest, PageCountsBelongToTheExecutionThatFixedThem) {
+  // Two threads run different queries at the same time over one shared
+  // pool that holds the whole document. Every execution's page counts
+  // (ExecutionStats::page_faults, the query-level buffer deltas and the
+  // root operator's inclusive hits) must equal its solo run's, whatever
+  // the other thread fixes meanwhile: the counts are taken from the
+  // executing thread's counters, not from the pool's.
+#if defined(NATIX_OBS_DISABLED)
+  GTEST_SKIP() << "observability compiled out (NATIX_OBS=OFF)";
+#endif
+  Database::Options options;
+  options.buffer_pages = 1024;
+  options.buffer_shards = 4;
+  auto db = Database::CreateTemp(options);
+  ASSERT_TRUE(db.ok());
+  gen::XDocOptions gen_options;
+  gen_options.max_elements = 120;
+  gen_options.fanout = 4;
+  gen_options.depth = 4;
+  auto info = (*db)->LoadDocument("doc", gen::GenerateXDoc(gen_options));
+  ASSERT_TRUE(info.ok());
+
+  struct Counts {
+    uint64_t faults = 0;
+    uint64_t reads = 0;
+    uint64_t hits = 0;
+    uint64_t root_hits = 0;
+    bool operator==(const Counts&) const = default;
+  };
+  auto run = [&](const PreparedQuery& plan, Counts* counts) {
+    auto exec = plan.NewExecution(/*collect_stats=*/true);
+    if (!exec.ok() || !(*exec)->EvaluateNodes(info->root).ok()) return false;
+    const obs::QueryStats* stats = (*exec)->Stats();
+    counts->faults = (*exec)->last_stats().page_faults;
+    counts->reads = stats->buffer().page_reads;
+    counts->hits = stats->buffer().page_hits;
+    counts->root_hits = stats->root()->inclusive_page_hits;
+    return true;
+  };
+
+  std::vector<std::shared_ptr<const PreparedQuery>> plans;
+  std::vector<Counts> solo(2);
+  for (const char* query : {kPaperQueries[0], kPaperQueries[3]}) {
+    auto plan = (*db)->Prepare(query);
+    ASSERT_TRUE(plan.ok());
+    plans.push_back(std::move(plan).value());
+  }
+  for (size_t i = 0; i < plans.size(); ++i) {
+    ASSERT_TRUE(run(*plans[i], &solo[i]));
+    EXPECT_EQ(solo[i].faults, 0u);  // the document is resident
+    EXPECT_GT(solo[i].hits, 0u);
+    EXPECT_EQ(solo[i].root_hits, solo[i].hits);
+  }
+  EXPECT_NE(solo[0].hits, solo[1].hits);  // distinguishable workloads
+
+  std::atomic<int> mismatches{0};
+  std::atomic<int> errors{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < plans.size(); ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 50; ++round) {
+        Counts counts;
+        if (!run(*plans[t], &counts)) {
+          ++errors;
+          return;
+        }
+        if (!(counts == solo[t])) ++mismatches;
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(errors.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
 }  // namespace
 }  // namespace natix

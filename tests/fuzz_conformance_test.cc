@@ -8,9 +8,10 @@
 // Two query sources feed the same oracle check: QueryGen stresses axes,
 // positional predicates and nested paths; ScalarQueryGen stresses the
 // NVM subscript programs (attribute-vs-literal compares in both
-// orientations, constant arithmetic, string functions, chained
-// conversions and short-circuit and/or), run with plan verification on
-// so every emitted program also passes the Layer-3 verifier.
+// orientations, constant arithmetic, string functions, concat of two
+// node strings, chained conversions and short-circuit and/or), run with
+// plan verification on so every emitted program also passes the Layer-3
+// verifier.
 
 #include <gtest/gtest.h>
 
@@ -159,6 +160,8 @@ class ScalarQueryGen {
         return "string(" + Path() + ")";
       case 2:
         return Scalar(0);  // pure scalar: no path at all
+      case 3:  // concat of two node strings: operand order is visible
+        return "concat(" + NodeStr() + ", " + NodeStr() + ")";
       default:
         return Path();
     }
@@ -203,6 +206,12 @@ class ScalarQueryGen {
     }
   }
 
+  /// The string-value of a non-root element or of an attribute.
+  std::string NodeStr() {
+    if (Int(2) == 0) return "string(" + Path() + ")";
+    return "string(" + Path() + "/" + Attr() + ")";
+  }
+
   std::string Str() {
     switch (Int(4)) {
       case 0:
@@ -234,6 +243,14 @@ class ScalarQueryGen {
         return "boolean(" + Attr() + ")";
       case 7:
         return "position() " + cmp + " " + std::to_string(1 + Int(3));
+      case 8:  // concat of two attributes against a literal: the result
+               // depends on operand order whenever both are non-empty
+        if (Int(2) == 0) {
+          return "starts-with(concat(string(" + Attr() + "), string(" +
+                 Attr() + ")), " + Pick({"'n'", "'1'", "'2'"}) + ")";
+        }
+        return "concat(string(" + Attr() + "), string(" + Attr() + ")) = '" +
+               std::to_string(Int(4)) + std::to_string(Int(4)) + "'";
       default:
         return Attr();
     }

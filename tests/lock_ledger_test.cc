@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -139,6 +141,37 @@ TEST_F(LockLedgerTest, OffModeRecordsNothing) {
   EXPECT_NE(json.find("\"edges\":[]"), std::string::npos) << json;
 }
 
+TEST_F(LockLedgerTest, ContendedAcquisitionsChargeWaitToTheirClass) {
+  // One thread holds the mutex for 30 ms while this one blocks on it: a
+  // contended acquisition of plan_cache with a nonzero wait. Retried in
+  // case a loaded host schedules this thread only after the holder let
+  // go (then try_lock succeeds and nothing is charged).
+  std::mutex mu;
+  for (int attempt = 0; attempt < 20; ++attempt) {
+    std::atomic<bool> held{false};
+    std::thread holder([&] {
+      LedgeredMutexLock lock(mu, LockClass::kPlanCache);
+      held.store(true);
+      std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    });
+    while (!held.load()) std::this_thread::yield();
+    { LedgeredUniqueLock waiter(mu, LockClass::kPlanCache); }
+    holder.join();
+    if (ledger_->wait(LockClass::kPlanCache).contended > 0) break;
+  }
+  const LockWait wait = ledger_->wait(LockClass::kPlanCache);
+  EXPECT_GE(wait.contended, 1u);
+  EXPECT_GT(wait.wait_ns, 0u);
+  // Uncontended acquisitions charge nothing to their class.
+  EXPECT_EQ(ledger_->wait(LockClass::kBufferShard).contended, 0u);
+  const std::string json = ledger_->WaitJson();
+  EXPECT_NE(json.find("\"plan_cache\":{\"contended\":"), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"buffer_shard\":{\"contended\":0,\"wait_ns\":0}"),
+            std::string::npos)
+      << json;
+}
+
 #else  // NATIX_OBS_DISABLED
 
 TEST(LockLedgerTest, DisabledBuildKeepsTheSurface) {
@@ -148,6 +181,7 @@ TEST(LockLedgerTest, DisabledBuildKeepsTheSurface) {
   }
   EXPECT_FALSE(LockLedger::Global().HasCycle());
   EXPECT_EQ(LockLedger::Global().GraphJson(), "{\"disabled\":true}");
+  EXPECT_EQ(LockLedger::Global().wait(LockClass::kPlanCache).contended, 0u);
 }
 
 #endif  // NATIX_OBS_DISABLED

@@ -7,6 +7,7 @@
 #include <cmath>
 
 #include "algebra/operator.h"
+#include "analysis/nvm_dataflow.h"
 #include "analysis/plan_verifier.h"
 #include "nvm/assembler.h"
 #include "nvm/vm.h"
@@ -288,7 +289,7 @@ TEST(NvmAssemblerTest, EmitsCmpAttrConstForAttrVsLiteral) {
                          ? Compare(CompareOp::kEq, Str("x"), AttrRef("attr0"))
                          : Compare(CompareOp::kEq, AttrRef("attr0"), Str("x"));
     Program program = CompileAttr0(*expr);
-    ASSERT_EQ(program.code.size(), 2u) << program.Disassemble();
+    ASSERT_EQ(program.code.size(), 2u) << analysis::RenderNvmProgram(program);
     EXPECT_EQ(program.code[0].op, OpCode::kCmpAttrConst);
     EXPECT_EQ((program.code[0].d & kCmpFlagBit) != 0, literal_left);
     EXPECT_TRUE(analysis::VerifyProgram(program, 1, 0).ok());
@@ -463,7 +464,7 @@ TEST(NvmJumpFixupTest, BackwardBranchVerifiesAndRuns) {
   EXPECT_FALSE(result->AsBoolean());
 }
 
-TEST(NvmTest, DisassemblerIsReadable) {
+TEST(NvmTest, RenderedListingIsReadable) {
   ScalarPtr expr = Arith(xpath::BinaryOp::kAdd, Num(1), AttrRef("attr0"));
   AttrResolver resolver =
       [](const std::string&) -> StatusOr<runtime::RegisterId> {
@@ -474,11 +475,11 @@ TEST(NvmTest, DisassemblerIsReadable) {
   };
   auto program = CompileScalar(*expr, resolver, registrar);
   ASSERT_TRUE(program.ok());
-  std::string text = program->Disassemble();
-  EXPECT_NE(text.find("load_const"), std::string::npos);
-  EXPECT_NE(text.find("load_attr"), std::string::npos);
-  EXPECT_NE(text.find("add"), std::string::npos);
-  EXPECT_NE(text.find("halt"), std::string::npos);
+  std::string text = analysis::RenderNvmProgram(*program);
+  EXPECT_NE(text.find("load_const"), std::string::npos) << text;
+  EXPECT_NE(text.find("load_attr"), std::string::npos) << text;
+  EXPECT_NE(text.find("add"), std::string::npos) << text;
+  EXPECT_NE(text.find("halt"), std::string::npos) << text;
 }
 
 }  // namespace

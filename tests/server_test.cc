@@ -206,6 +206,12 @@ TEST(ServerTest, MetricsEndpointServesExposition) {
             std::string::npos);
   EXPECT_NE(response->body.find("natix_buffer_resident_pages"),
             std::string::npos);
+  EXPECT_NE(response->body.find(
+                "natix_lock_wait_seconds_total{class=\"buffer_shard\"} "),
+            std::string::npos);
+  EXPECT_NE(response->body.find(
+                "natix_lock_contended_total{class=\"buffer_shard\"} "),
+            std::string::npos);
 #else
   // The zero-cost configuration keeps the endpoint but serves the
   // explicit stub instead of empty exposition.
@@ -231,6 +237,7 @@ TEST(ServerTest, StatuszReportsServerState) {
   EXPECT_NE(response->body.find("\"admission\":{\"max_concurrency\":"),
             std::string::npos);
   EXPECT_NE(response->body.find("\"slow_queries\":["), std::string::npos);
+  EXPECT_NE(response->body.find("\"lock_wait\":"), std::string::npos);
 }
 
 TEST(ServerTest, DeadlineExceededRequestGets504) {

@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstring>
 #include <map>
 #include <random>
+#include <thread>
 #include <vector>
 
 #include "storage/buffer_manager.h"
@@ -62,6 +65,141 @@ TEST(BufferManagerStressTest, MatchesShadowModel) {
     EXPECT_EQ(buffer[0], stamp) << "page " << id;
   }
   EXPECT_GT(bm.eviction_count(), 100u);  // the pool really was tiny
+}
+
+TEST(BufferManagerStressTest, ConcurrentPinsUnderConstantEviction) {
+  // Four threads on a 2-shard, 16-frame pool over 56 pages: nearly every
+  // fix races the clock hand of some other thread's fault. Each thread
+  // stamps, verifies and releases its own pages (writers must not share
+  // a page) and verifies shared read-only pages, so lock-free hits on
+  // one frame race each other and the evictions. A held handle's bytes
+  // must never change while other fixes evict around it, and the final
+  // flush must match every thread's shadow map. tsan runs this too.
+  constexpr int kThreads = 4;
+  constexpr int kOwnPages = 12;
+  constexpr int kSharedPages = 8;
+  constexpr int kSteps = 4000;
+  auto file = PagedFile::OpenTemp();
+  ASSERT_TRUE(file.ok());
+  BufferManager bm(file->get(), 16, 2);
+
+  // A shared page carries its id in every 8-byte word.
+  auto shared_ok = [](PageId id, const uint8_t* data) {
+    for (size_t off = 0; off < kPageSize; off += 512) {
+      uint64_t word;
+      std::memcpy(&word, data + off, sizeof(word));
+      if (word != id) return false;
+    }
+    return true;
+  };
+  std::vector<PageId> shared;
+  for (int i = 0; i < kSharedPages; ++i) {
+    auto page = bm.NewPage();
+    ASSERT_TRUE(page.ok());
+    const uint64_t word = page->page_id();
+    for (size_t off = 0; off < kPageSize; off += 512) {
+      std::memcpy(page->mutable_data() + off, &word, sizeof(word));
+    }
+    shared.push_back(page->page_id());
+  }
+  std::vector<std::vector<PageId>> own(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kOwnPages; ++i) {
+      auto page = bm.NewPage();
+      ASSERT_TRUE(page.ok());
+      own[t].push_back(page->page_id());  // zero stamp
+    }
+  }
+
+  // An own page holds its stamp at both ends of the page.
+  auto stamp_of = [](const uint8_t* data, uint64_t* head, uint64_t* tail) {
+    std::memcpy(head, data, sizeof(*head));
+    std::memcpy(tail, data + kPageSize - sizeof(*tail), sizeof(*tail));
+  };
+  std::vector<std::map<PageId, uint64_t>> shadows(kThreads);
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::mt19937 rng(static_cast<unsigned>(77 + t));
+      std::map<PageId, uint64_t>& shadow = shadows[t];
+      for (PageId id : own[t]) shadow[id] = 0;
+      auto pick = [&rng](const std::vector<PageId>& ids) {
+        return ids[std::uniform_int_distribution<size_t>(0, ids.size() -
+                                                            1)(rng)];
+      };
+      auto verify_own = [&](PageId id, const PageHandle& page) {
+        uint64_t head, tail;
+        stamp_of(page.data(), &head, &tail);
+        return head == shadow[id] && tail == shadow[id];
+      };
+      uint64_t next_stamp = static_cast<uint64_t>(t + 1) << 32;
+      for (int step = 0; step < kSteps; ++step) {
+        const int action = std::uniform_int_distribution<int>(0, 3)(rng);
+        if (action == 0) {
+          const PageId id = pick(shared);
+          auto page = bm.FixPage(id);
+          if (!page.ok() || !shared_ok(id, page->data())) ++failures;
+        } else if (action == 1) {
+          const PageId id = pick(own[t]);
+          auto page = bm.FixPage(id);
+          if (!page.ok() || !verify_own(id, *page)) {
+            ++failures;
+            continue;
+          }
+          const uint64_t stamp = ++next_stamp;
+          std::memcpy(page->mutable_data(), &stamp, sizeof(stamp));
+          std::memcpy(page->mutable_data() + kPageSize - sizeof(stamp),
+                      &stamp, sizeof(stamp));
+          shadow[id] = stamp;
+        } else {
+          // Hold one page while fixing three others, then check that
+          // nothing under the held handle moved.
+          const PageId held_id = pick(own[t]);
+          auto held = bm.FixPage(held_id);
+          if (!held.ok()) {
+            ++failures;
+            continue;
+          }
+          uint8_t before[64];
+          std::memcpy(before, held->data(), sizeof(before));
+          for (int k = 0; k < 3; ++k) {
+            const PageId id = action == 2 ? pick(shared) : pick(own[t]);
+            auto page = bm.FixPage(id);
+            if (!page.ok()) {
+              ++failures;
+            } else if (action == 2 ? !shared_ok(id, page->data())
+                                   : !verify_own(id, *page)) {
+              ++failures;
+            }
+          }
+          if (std::memcmp(before, held->data(), sizeof(before)) != 0 ||
+              !verify_own(held_id, *held)) {
+            ++failures;
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  ASSERT_TRUE(bm.FlushAll().ok());
+  uint8_t buffer[kPageSize];
+  for (PageId id : shared) {
+    ASSERT_TRUE((*file)->ReadPage(id, buffer).ok());
+    EXPECT_TRUE(shared_ok(id, buffer)) << "page " << id;
+  }
+  for (const std::map<PageId, uint64_t>& shadow : shadows) {
+    for (const auto& [id, stamp] : shadow) {
+      ASSERT_TRUE((*file)->ReadPage(id, buffer).ok());
+      uint64_t head, tail;
+      stamp_of(buffer, &head, &tail);
+      EXPECT_EQ(head, stamp) << "page " << id;
+      EXPECT_EQ(tail, stamp) << "page " << id;
+    }
+  }
+  EXPECT_GT(bm.eviction_count(), 1000u);  // eviction really was constant
 }
 
 TEST(StorageStressTest, RandomTreeSurvivesTinyPoolNavigation) {

@@ -144,6 +144,76 @@ TEST(BufferManagerTest, AllPinnedExhaustsPool) {
   EXPECT_TRUE(d.ok());
 }
 
+TEST(BufferManagerTest, ClockSparesReferencedFrameForOneSweep) {
+  auto file = PagedFile::OpenTemp();
+  ASSERT_TRUE(file.ok());
+  BufferManager bm(file->get(), 3);
+  PageId ids[5];
+  for (int i = 0; i < 5; ++i) {
+    auto page = bm.NewPage();
+    ASSERT_TRUE(page.ok());
+    ids[i] = page->page_id();
+    // p0..p2 fill frames 0..2, each released with its reference bit set.
+    // p3's claim sweeps once around clearing all three bits and takes
+    // frame 0 (p0); the hand stops at frame 1.
+    if (i == 3) {
+      page->Release();
+      // A hit re-references p1 (frame 1) ahead of the next claim.
+      auto hit = bm.FixPage(ids[1]);
+      ASSERT_TRUE(hit.ok());
+      EXPECT_EQ(bm.hit_count(), 1u);
+    }
+  }
+  // p4's claim: frame 1 (p1) is referenced, so the hand clears its bit
+  // and passes on; frame 2 (p2) is not and becomes the victim.
+  EXPECT_EQ(bm.eviction_count(), 2u);
+  {
+    auto page = bm.FixPage(ids[1]);  // p1 survived the sweep
+    ASSERT_TRUE(page.ok());
+  }
+  EXPECT_EQ(bm.fault_count(), 0u);
+  EXPECT_EQ(bm.hit_count(), 2u);
+  {
+    auto page = bm.FixPage(ids[2]);  // p2 did not
+    ASSERT_TRUE(page.ok());
+  }
+  EXPECT_EQ(bm.fault_count(), 1u);
+}
+
+TEST(BufferManagerTest, ClockExhaustsOnlyWhenEveryFrameIsPinned) {
+  auto file = PagedFile::OpenTemp();
+  ASSERT_TRUE(file.ok());
+  BufferManager bm(file->get(), 3);
+  auto a = bm.NewPage();
+  auto b = bm.NewPage();
+  ASSERT_TRUE(a.ok() && b.ok());
+  PageId c_id;
+  {
+    auto c = bm.NewPage();
+    ASSERT_TRUE(c.ok());
+    c_id = c->page_id();
+  }
+  {
+    // Re-reference c: its frame is the only unpinned one, and its set
+    // reference bit only earns it one pass of the hand.
+    auto c = bm.FixPage(c_id);
+    ASSERT_TRUE(c.ok());
+  }
+  auto d = bm.NewPage();  // evicts c despite its reference bit
+  ASSERT_TRUE(d.ok()) << d.status().ToString();
+  EXPECT_EQ(bm.eviction_count(), 1u);
+  // Now every frame is pinned (a, b, d).
+  auto e = bm.NewPage();
+  EXPECT_FALSE(e.ok());
+  EXPECT_EQ(e.status().code(), StatusCode::kResourceExhausted);
+  auto f = bm.FixPage(c_id);
+  EXPECT_FALSE(f.ok());
+  EXPECT_EQ(f.status().code(), StatusCode::kResourceExhausted);
+  b->Release();
+  auto g = bm.FixPage(c_id);
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+}
+
 TEST(BufferManagerTest, CopyingHandleAddsPin) {
   auto file = PagedFile::OpenTemp();
   ASSERT_TRUE(file.ok());

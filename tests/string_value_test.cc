@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "algebra/operator.h"
+#include "analysis/nvm_dataflow.h"
 #include "api/database.h"
 #include "nvm/assembler.h"
 #include "nvm/vm.h"
@@ -183,7 +184,7 @@ StatusOr<Value> RunScalar(const algebra::Scalar& scalar, const Value& tuple,
   if (program.code.empty() ||
       program.code[0].op != nvm::OpCode::kCmpAttrConst) {
     return Status::Internal("expected cmp_attr_const:\n" +
-                            program.Disassemble());
+                            analysis::RenderNvmProgram(program));
   }
   nvm::Vm vm(&program);
   runtime::RegisterFile registers(1);
