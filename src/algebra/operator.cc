@@ -46,6 +46,8 @@ const char* OpKindName(OpKind kind) {
       return "IdDeref";
     case OpKind::kLimit:
       return "Limit";
+    case OpKind::kStaircaseStep:
+      return "StaircaseStep";
   }
   return "?";
 }
@@ -138,6 +140,10 @@ void PrintOp(const Operator& op, int depth, std::string* out) {
       break;
     case OpKind::kUnnestMap:
       *out += "[" + op.attr + " := " + op.ctx_attr + "/" +
+              runtime::AxisName(op.axis) + "::" + op.test.ToString() + "]";
+      break;
+    case OpKind::kStaircaseStep:
+      *out += "[" + op.attr + " := {" + op.ctx_attr + "}/" +
               runtime::AxisName(op.axis) + "::" + op.test.ToString() + "]";
       break;
     case OpKind::kDupElim:

@@ -41,7 +41,9 @@ enum class OpKind : uint8_t {
   kTmpCs,          // Tmp^cs (ctx_attr empty) or Tmp^cs_c — adds attr = cs
   kMemoX,          // 𝔐_{key_attrs}(child) — memoizes child's tuples
   kIdDeref,        // id(): dereference id tokens to element nodes -> attr
-  kLimit           // first `limit` tuples of the child, then early Close()
+  kLimit,          // first `limit` tuples of the child, then early Close()
+  kStaircaseStep   // Υˢ_attr:{ctx}/axis::test(child) — one step over the
+                   // whole context set, duplicate-free (staircase join)
 };
 
 const char* OpKindName(OpKind kind);
@@ -119,7 +121,7 @@ struct Operator {
   /// Γ's and 𝔄's aggregated attribute, id()'s input attribute.
   std::string ctx_attr;
 
-  // kUnnestMap:
+  // kUnnestMap / kStaircaseStep:
   runtime::Axis axis = runtime::Axis::kChild;
   xpath::AstNodeTest test;  // names resolved at code generation
 

@@ -27,6 +27,7 @@ void CollectWritten(const Operator& op, std::set<std::string>* out) {
     case OpKind::kBinaryGroup:
     case OpKind::kTmpCs:
     case OpKind::kIdDeref:
+    case OpKind::kStaircaseStep:
       out->insert(op.attr);
       break;
     default:
@@ -36,14 +37,20 @@ void CollectWritten(const Operator& op, std::set<std::string>* out) {
   for (const OpPtr& child : op.children) CollectWritten(*child, out);
 }
 
-void CollectRefs(const Scalar& scalar, std::set<std::string>* out);
+void CollectRefs(const Scalar& scalar, const Operator* skip,
+                 std::set<std::string>* out);
 
-void CollectOpRefs(const Operator& op, std::set<std::string>* out) {
+/// Attributes referenced by the plan rooted at `op`, leaving out the
+/// subtree rooted at `skip` (null: leave out nothing).
+void CollectOpRefs(const Operator& op, const Operator* skip,
+                   std::set<std::string>* out) {
+  if (&op == skip) return;
   switch (op.kind) {
     case OpKind::kCounter:
       if (!op.ctx_attr.empty()) out->insert(op.ctx_attr);
       break;
     case OpKind::kUnnestMap:
+    case OpKind::kStaircaseStep:
     case OpKind::kUnnest:
     case OpKind::kAggregate:
       out->insert(op.ctx_attr);
@@ -72,17 +79,20 @@ void CollectOpRefs(const Operator& op, std::set<std::string>* out) {
     default:
       break;
   }
-  if (op.scalar != nullptr) CollectRefs(*op.scalar, out);
-  for (const OpPtr& child : op.children) CollectOpRefs(*child, out);
+  if (op.scalar != nullptr) CollectRefs(*op.scalar, skip, out);
+  for (const OpPtr& child : op.children) CollectOpRefs(*child, skip, out);
 }
 
-void CollectRefs(const Scalar& scalar, std::set<std::string>* out) {
+void CollectRefs(const Scalar& scalar, const Operator* skip,
+                 std::set<std::string>* out) {
   if (scalar.kind == ScalarKind::kAttrRef) out->insert(scalar.name);
   if (scalar.kind == ScalarKind::kNested) {
-    CollectOpRefs(*scalar.plan, out);
+    CollectOpRefs(*scalar.plan, skip, out);
     out->insert(scalar.input_attr);
   }
-  for (const ScalarPtr& child : scalar.children) CollectRefs(*child, out);
+  for (const ScalarPtr& child : scalar.children) {
+    CollectRefs(*child, skip, out);
+  }
 }
 
 }  // namespace
@@ -96,7 +106,7 @@ std::set<std::string> WrittenAttributes(const Operator& op) {
 std::set<std::string> FreeAttributes(const Operator& op) {
   std::set<std::string> written = WrittenAttributes(op);
   std::set<std::string> referenced;
-  CollectOpRefs(op, &referenced);
+  CollectOpRefs(op, nullptr, &referenced);
   std::set<std::string> free;
   for (const std::string& attr : referenced) {
     if (written.find(attr) == written.end()) free.insert(attr);
@@ -106,7 +116,7 @@ std::set<std::string> FreeAttributes(const Operator& op) {
 
 std::set<std::string> ScalarFreeAttributes(const Scalar& scalar) {
   std::set<std::string> referenced;
-  CollectRefs(scalar, &referenced);
+  CollectRefs(scalar, nullptr, &referenced);
   // Attributes bound inside the scalar's own nested plans are not free.
   std::set<std::string> written;
   CollectWrittenInScalar(scalar, &written);
@@ -115,6 +125,13 @@ std::set<std::string> ScalarFreeAttributes(const Scalar& scalar) {
     if (written.find(attr) == written.end()) free.insert(attr);
   }
   return free;
+}
+
+std::set<std::string> AttributesReadOutside(const Operator& root,
+                                            const Operator& excluded) {
+  std::set<std::string> referenced;
+  CollectOpRefs(root, &excluded, &referenced);
+  return referenced;
 }
 
 size_t PlanSize(const Operator& op) {

@@ -18,6 +18,13 @@ std::set<std::string> WrittenAttributes(const Operator& op);
 /// are not included (they come from the execution context).
 std::set<std::string> FreeAttributes(const Operator& op);
 
+/// Attributes referenced anywhere in the plan rooted at `root` (its
+/// operators, subscripts and nested plans) except inside the subtree
+/// rooted at `excluded` — the readers of a subtree's output. Liveness
+/// input of the staircase-step rewrite.
+std::set<std::string> AttributesReadOutside(const Operator& root,
+                                            const Operator& excluded);
+
 /// Number of operator nodes (plan size; used by tests and ablations).
 size_t PlanSize(const Operator& op);
 

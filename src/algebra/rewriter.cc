@@ -38,6 +38,9 @@ struct SimplifyCtx {
   const OpPtr* root = nullptr;
   bool verify = false;
   bool limit_pushdown = true;
+  /// The attribute the caller reads from the root stream (empty:
+  /// unknown).
+  std::string result_attr;
   std::set<std::string> outer;
   RewriteLog* log = nullptr;
   Status status;
@@ -98,6 +101,7 @@ bool BindsAttr(const Operator& op, const std::string& attr) {
     case OpKind::kBinaryGroup:
     case OpKind::kTmpCs:
     case OpKind::kIdDeref:
+    case OpKind::kStaircaseStep:
       return op.attr == attr;
     default:
       return false;
@@ -133,6 +137,7 @@ const Operator* FocusProducer(const Operator* op) {
 std::string ProducerAttr(const Operator& op) {
   switch (op.kind) {
     case OpKind::kUnnestMap:
+    case OpKind::kStaircaseStep:
     case OpKind::kUnnest:
     case OpKind::kIdDeref:
     case OpKind::kDupElim:
@@ -295,6 +300,68 @@ void TryLimitPushdown(OpPtr* slot, SimplifyCtx* ctx) {
   }
 }
 
+/// The axes whose per-context step results overlap in a way tree order
+/// can prune: one context's result covers another's.
+bool StaircaseAxis(runtime::Axis axis) {
+  switch (axis) {
+    case runtime::Axis::kDescendant:
+    case runtime::Axis::kDescendantOrSelf:
+    case runtime::Axis::kFollowing:
+    case runtime::Axis::kPreceding:
+    case runtime::Axis::kAncestor:
+    case runtime::Axis::kAncestorOrSelf:
+      return true;
+    default:
+      return false;
+  }
+}
+
+/// Staircase step: `DupElim[c'](Υ[c' := c/axis::t](e))` becomes the
+/// set-at-a-time `Υˢ[c' := {c}/axis::t](e)`, which prunes the context
+/// set by tree order instead of stepping from every context and hashing
+/// the duplicates away. Υˢ emits each result node once and nothing
+/// else, so its output schema is the free attributes plus c'. Fires
+/// only when that loses nothing: no operator outside the duplicate
+/// elimination (ancestors, their other inputs and subscripts, nested
+/// plans) and not the caller reads an attribute `e` binds. Per-context
+/// operators between the step and the duplicate elimination (a
+/// positional counter, a predicate) keep the per-context step.
+size_t TryStaircaseStep(OpPtr* slot, SimplifyCtx* ctx) {
+  Operator* dedup = slot->get();
+  Operator* step = dedup->children[0].get();
+  if (step->kind != OpKind::kUnnestMap || step->attr != dedup->attr ||
+      !StaircaseAxis(step->axis) || ctx->result_attr.empty()) {
+    return 0;
+  }
+  const Operator& input = *step->children[0];
+  std::set<std::string> live = AttributesReadOutside(**ctx->root, *dedup);
+  live.insert(ctx->result_attr);
+  std::set<std::string> dead = WrittenAttributes(input);
+  std::string dead_list;
+  for (const std::string& attr : dead) {
+    if (live.count(attr) > 0) return 0;
+    dead_list += (dead_list.empty() ? "" : ", ") + attr;
+  }
+
+  const char* rule = "staircase-step";
+  // Layer 1.5 compares the claims of the attributes that survive.
+  PlanProperties before = analysis::InferPlanProperties(*dedup);
+  for (const std::string& attr : dead) before.attrs.erase(attr);
+  PlanProperties in = analysis::InferPlanProperties(input);
+  LogRewrite(ctx, rule, analysis::OperatorSummary(*dedup),
+             analysis::RenderProperties(in, step->ctx_attr) +
+                 "; unread above: {" + dead_list + "}");
+  OpPtr stair = MakeOp(OpKind::kStaircaseStep);
+  stair->attr = step->attr;
+  stair->ctx_attr = step->ctx_attr;
+  stair->axis = step->axis;
+  stair->test = step->test;
+  stair->children.push_back(std::move(step->children[0]));
+  *slot = std::move(stair);
+  CheckAfterRule(ctx, rule, &before, slot->get());
+  return 1;
+}
+
 size_t SimplifyNode(OpPtr* slot, SimplifyCtx* ctx) {
   if (!ctx->status.ok()) return 0;
   size_t removed = 0;
@@ -370,7 +437,7 @@ size_t SimplifyNode(OpPtr* slot, SimplifyCtx* ctx) {
                    slot, 0, ctx, "drop-redundant-duplicate-elimination",
                    analysis::RenderProperties(child, op->attr));
       }
-      return removed;
+      return removed + TryStaircaseStep(slot, ctx);
     }
 
     case OpKind::kSort: {
@@ -526,22 +593,26 @@ size_t SimplifyScalar(Scalar* scalar, SimplifyCtx* ctx) {
 
 }  // namespace
 
-size_t SimplifyPlan(OpPtr* plan, RewriteLog* log, bool limit_pushdown) {
+size_t SimplifyPlan(OpPtr* plan, RewriteLog* log, bool limit_pushdown,
+                    const std::string& result_attr) {
   obs::ScopedSpan span("compile/rewrite");
   SimplifyCtx ctx;
   ctx.root = plan;
   ctx.log = log;
   ctx.limit_pushdown = limit_pushdown;
+  ctx.result_attr = result_attr;
   return SimplifyNode(plan, &ctx);
 }
 
 StatusOr<size_t> SimplifyPlanChecked(OpPtr* plan, RewriteLog* log,
-                                     bool limit_pushdown) {
+                                     bool limit_pushdown,
+                                     const std::string& result_attr) {
   obs::ScopedSpan span("compile/rewrite");
   SimplifyCtx ctx;
   ctx.root = plan;
   ctx.log = log;
   ctx.limit_pushdown = limit_pushdown;
+  ctx.result_attr = result_attr;
   ctx.verify = analysis::VerificationEnabled();
   if (ctx.verify) {
     // Whatever the plan legitimately read from its context before

@@ -66,12 +66,19 @@ using RewriteLog = std::vector<RewriteEvent>;
 ///    and pushes it below non-blocking 1:1 operators, so the pipeline —
 ///    including the page scan feeding it — closes after the k-th
 ///    binding ("limit:*" rules; `limit_pushdown` disables just these,
-///    the ablation/differential-fuzz switch).
+///    the ablation/differential-fuzz switch),
+///  * turns a duplicate elimination directly over a descendant(-or-self),
+///    following, preceding or ancestor(-or-self) step into one staircase
+///    step over the whole context set ("staircase-step") when nothing
+///    reads the step input's attributes afterwards. `result_attr` is the
+///    attribute the caller reads from the root stream; while it is empty
+///    (unknown) the rule stays off.
 /// Returns the number of operators removed or replaced; each rule
 /// application is appended to `log` (when non-null) with the proving
 /// property. Also rewrites nested subplans inside scalar subscripts.
 size_t SimplifyPlan(OpPtr* plan, RewriteLog* log = nullptr,
-                    bool limit_pushdown = true);
+                    bool limit_pushdown = true,
+                    const std::string& result_attr = std::string());
 
 /// Like SimplifyPlan, but when plan verification is enabled
 /// (analysis::VerificationEnabled — on by default in debug builds) every
@@ -82,8 +89,9 @@ size_t SimplifyPlan(OpPtr* plan, RewriteLog* log = nullptr,
 /// class). A violation aborts rewriting and names the offending rule,
 /// instead of letting a malformed or semantics-changing plan flow on to
 /// code generation.
-StatusOr<size_t> SimplifyPlanChecked(OpPtr* plan, RewriteLog* log = nullptr,
-                                     bool limit_pushdown = true);
+StatusOr<size_t> SimplifyPlanChecked(
+    OpPtr* plan, RewriteLog* log = nullptr, bool limit_pushdown = true,
+    const std::string& result_attr = std::string());
 
 }  // namespace natix::algebra
 

@@ -136,6 +136,11 @@ bool OperatorFusable(const algebra::Operator& op, std::string* why) {
       return barrier("control-flow boundary: concatenation");
     case OpKind::kIdDeref:
       return barrier("side effect: lazily built id index");
+    case OpKind::kStaircaseStep:
+      if (StaircaseStepStreams(op, InferPlanProperties(*op.children[0]))) {
+        return true;
+      }
+      return barrier("blocking: drains and sorts the context set");
   }
   return barrier("unknown operator");
 }

@@ -69,6 +69,7 @@ bool WritesAttr(OpKind kind) {
     case OpKind::kBinaryGroup:
     case OpKind::kTmpCs:
     case OpKind::kIdDeref:
+    case OpKind::kStaircaseStep:
       return true;
     default:
       return false;
@@ -173,6 +174,10 @@ class LogicalVerifier {
       case OpKind::kAggregate:
         // Singleton output: trivially grouped.
         return Status::OK();
+      case OpKind::kStaircaseStep:
+        // Its output keeps only the free attributes besides its own:
+        // `attr` is constant per evaluation.
+        return Status::OK();
       default:
         return CheckGrouping(consumer, *op.children[0], attr);
     }
@@ -248,6 +253,7 @@ class LogicalVerifier {
     // Per-operator read obligations.
     switch (op.kind) {
       case OpKind::kUnnestMap:
+      case OpKind::kStaircaseStep:
       case OpKind::kUnnest:
         NATIX_RETURN_IF_ERROR(RequireBound(op, op.ctx_attr, avail, "context"));
         break;
@@ -343,6 +349,12 @@ class LogicalVerifier {
         break;
       case OpKind::kAggregate:
         // Singleton output tuple: input attributes are consumed.
+        *defs_out = outer;
+        defs_out->insert(op.attr);
+        break;
+      case OpKind::kStaircaseStep:
+        // One tuple per result node: the input's own attributes are
+        // consumed with the context set (the rewrite proved them dead).
         *defs_out = outer;
         defs_out->insert(op.attr);
         break;

@@ -435,6 +435,28 @@ PlanProperties Infer(const Operator& op, PropertyMap* map) {
       break;
     }
 
+    case OpKind::kStaircaseStep: {
+      PlanProperties input = Infer(*op.children[0], map);
+      AttrProperties ctx = input.Lookup(op.ctx_attr);
+      // The output carries the free attributes and the step result
+      // only: the input's own attributes end with the context set.
+      props.cardinality =
+          StaticallyEmptyStep(ctx.node_class, op.axis, op.test)
+              ? Cardinality::kEmpty
+              : ExpandCardinality(input.cardinality);
+      AttrProperties out;
+      out.node_class = StepNodeClass(op.axis, op.test);
+      // The iterator prunes the context set so that no result node is
+      // produced twice; forward axes come out in document order
+      // (src/qe/staircase_ops.cc).
+      out.duplicate_free = true;
+      if (!runtime::AxisIsReverse(op.axis)) {
+        out.order = OrderState::kDocOrdered;
+      }
+      props.attrs[op.attr] = out;
+      break;
+    }
+
     case OpKind::kDJoin:
     case OpKind::kCross: {
       PlanProperties left = Infer(*op.children[0], map);
@@ -624,6 +646,15 @@ PlanProperties Infer(const Operator& op, PropertyMap* map) {
 
 }  // namespace
 
+bool StaircaseStepStreams(const Operator& op, const PlanProperties& input) {
+  AttrProperties ctx = input.Lookup(op.ctx_attr);
+  if (ctx.order != OrderState::kDocOrdered || !ctx.duplicate_free) {
+    return false;
+  }
+  // preceding needs the last context of the whole set.
+  return op.axis != Axis::kPreceding;
+}
+
 PlanProperties InferPlanProperties(const Operator& op) {
   return Infer(op, nullptr);
 }
@@ -648,6 +679,10 @@ std::string OperatorSummary(const Operator& op) {
       break;
     case OpKind::kUnnestMap:
       out += "[" + op.attr + " := " + op.ctx_attr + "/" +
+             runtime::AxisName(op.axis) + "::" + op.test.ToString() + "]";
+      break;
+    case OpKind::kStaircaseStep:
+      out += "[" + op.attr + " := {" + op.ctx_attr + "}/" +
              runtime::AxisName(op.axis) + "::" + op.test.ToString() + "]";
       break;
     case OpKind::kCounter:

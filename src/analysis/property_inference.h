@@ -102,6 +102,14 @@ bool StaticallyEmptyStep(NodeClass cls, runtime::Axis axis,
 /// in every evaluation).
 PlanProperties InferPlanProperties(const algebra::Operator& op);
 
+/// Whether the staircase step `op` streams its context set: the
+/// contexts provably arrive in document order without duplicates (the
+/// `input` properties of its child), and the axis never needs a later
+/// context to decide an earlier one (all but preceding). Otherwise it
+/// drains the input into a sorted spool before producing a tuple.
+bool StaircaseStepStreams(const algebra::Operator& op,
+                          const PlanProperties& input);
+
 /// Properties for every operator of the plan, including operators inside
 /// nested scalar subplans, keyed by node address.
 using PropertyMap = std::map<const algebra::Operator*, PlanProperties>;

@@ -119,6 +119,11 @@ class PhysicalPrinter {
                 runtime::AxisName(op.axis) + "::" + op.test.ToString() +
                 "]";
         break;
+      case OpKind::kStaircaseStep:
+        out_ += "[" + Reg(op.attr) + " := {" + Reg(op.ctx_attr) + "}/" +
+                runtime::AxisName(op.axis) + "::" + op.test.ToString() +
+                "]";
+        break;
       case OpKind::kCounter:
         out_ += "[" + Reg(op.attr) + " := counter++" +
                 (op.ctx_attr.empty() ? "" : ", reset on " + Reg(op.ctx_attr)) +
@@ -447,6 +452,7 @@ class CodegenImpl {
     }
     switch (op.kind) {
       case OpKind::kUnnestMap:
+      case OpKind::kStaircaseStep:
       case OpKind::kDupElim:
       case OpKind::kSort:
       case OpKind::kCounter:
@@ -496,6 +502,7 @@ class CodegenImpl {
     std::string stream_attr;
     switch (p->kind) {
       case OpKind::kUnnestMap:
+      case OpKind::kStaircaseStep:
       case OpKind::kUnnest:
       case OpKind::kIdDeref:
       case OpKind::kDupElim:
@@ -652,6 +659,50 @@ class CodegenImpl {
         node->children.push_back(std::move(child.node));
         child.node = std::move(node);
         return child;
+      }
+      case OpKind::kStaircaseStep: {
+        NATIX_ASSIGN_OR_RETURN(BuildResult child, Build(*op.children[0]));
+        NATIX_ASSIGN_OR_RETURN(RegisterId ctx, Resolve(op.ctx_attr));
+        RegisterId out = Bind(op.attr);
+        NATIX_ASSIGN_OR_RETURN(runtime::NodeTest test,
+                               ResolveNodeTest(op.test));
+        const analysis::PlanProperties* input = nullptr;
+        if (auto it = props_.find(op.children[0].get());
+            it != props_.end()) {
+          input = &it->second;
+        }
+        const bool streaming =
+            input != nullptr && analysis::StaircaseStepStreams(op, *input);
+        if (streaming && analysis::VerificationEnabled()) {
+          // Streaming relies on the contexts arriving doc-ordered and
+          // duplicate-free: the oracle asserts it on the actual input.
+          child.iter = std::make_unique<PropertyOracleIterator>(
+              state_, std::move(child.iter), ctx, /*check_order=*/true,
+              /*check_duplicate_free=*/true,
+              analysis::OperatorSummary(op) + " input");
+        }
+        BuildResult result;
+        result.iter = std::make_unique<StaircaseStepIterator>(
+            state_, std::move(child.iter), ctx, out, op.axis, test,
+            streaming);
+        result.stats = Observe(analysis::OperatorSummary(op) +
+                                   (streaming ? " streaming" : " drained") +
+                                   PropTag(op),
+                               result.iter.get(), {child.stats});
+        result.written.insert(out);
+        // Output tuples define only the step result on top of the
+        // node's input definitions, like the aggregate's.
+        result.node = MakeNode(PhysNodeKind::kBarrier, "StaircaseStep");
+        // Navigation pins pages between Next calls until Close; a
+        // draining step also spools the whole context set.
+        Effects(result.node.get(), {ChildClose::kOnClose},
+                streaming ? SpoolKind::kNone : SpoolKind::kFull,
+                /*spool_released_on_close=*/!streaming,
+                /*holds_cursor=*/true, /*cursor_released_on_close=*/true);
+        result.node->reads.push_back(ctx);
+        result.node->writes.push_back(out);
+        result.node->children.push_back(std::move(child.node));
+        return result;
       }
       case OpKind::kDJoin:
       case OpKind::kCross: {

@@ -88,11 +88,9 @@ StatusOr<std::vector<runtime::NodeRef>> ExecutionContext::ExecuteNodes() {
       // Cooperative cancellation: a request whose deadline expired (or
       // whose client went away) closes the whole pipeline — cascading
       // Close() down to the page scans — instead of finishing the drain.
-      if (drained++ % kCancelCheckInterval == 0) {
-        Status st = CheckCancellation();
-        if (!st.ok()) {
-          return AbortClose(root_.get(), *this, std::move(st));
-        }
+      Status polled = PollCancellation(&drained);
+      if (!polled.ok()) {
+        return AbortClose(root_.get(), *this, std::move(polled));
       }
       const runtime::Value& v = registers[result_reg_];
       if (v.kind() != runtime::ValueKind::kNode) {

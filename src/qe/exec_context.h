@@ -107,6 +107,17 @@ class ExecutionContext {
   /// kCancelCheckInterval tuples and by scalar execution before Open.
   Status CheckCancellation() const;
 
+  /// CheckCancellation for a loop that drains tuples: checks on the
+  /// first call and every kCancelCheckInterval calls after that,
+  /// counting calls in `*drained` (zero at the start of the drain). The
+  /// result drain loop and the blocking drains inside operators (Sort,
+  /// the staircase step's context spool) share it, so a deadline
+  /// interrupts a drain wherever it happens.
+  Status PollCancellation(uint64_t* drained) const {
+    if ((*drained)++ % kCancelCheckInterval != 0) return Status::OK();
+    return CheckCancellation();
+  }
+
   // -- Layer-4 runtime resource ledger ------------------------------------
 
   /// Runtime cross-check of the static Layer-4 resource claims

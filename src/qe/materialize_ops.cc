@@ -54,10 +54,18 @@ Status SortIterator::CloseImpl() {
 }
 
 Status SortIterator::OpenImpl() {
-  obs::ScopedSpan span("exec/materialize", "sort");
   DropRows();
-  NATIX_RETURN_IF_ERROR(child_->Open());
+  filled_ = false;
+  return child_->Open();
+}
+
+Status SortIterator::Fill() {
+  obs::ScopedSpan span("exec/materialize", "sort");
+  uint64_t drained = 0;
   while (true) {
+    // A blocking drain honours deadlines itself: the result drain loop
+    // sees no tuple until the whole input is spooled.
+    NATIX_RETURN_IF_ERROR(state_->PollCancellation(&drained));
     bool has = false;
     NATIX_RETURN_IF_ERROR(child_->Next(&has));
     if (!has) break;
@@ -77,6 +85,10 @@ Status SortIterator::OpenImpl() {
 }
 
 Status SortIterator::NextImpl(bool* has) {
+  if (!filled_) {
+    filled_ = true;
+    NATIX_RETURN_IF_ERROR(Fill());
+  }
   if (pos_ >= rows_.size()) {
     *has = false;
     return Status::OK();

@@ -172,6 +172,110 @@ class UnnestMapIterator : public Iterator {
   bool cursor_active_ = false;
 };
 
+/// The staircase step Υˢ_{a := {c}/axis::test} (rewrite rule
+/// "staircase-step", docs/PROPERTY-INFERENCE.md): one location step over
+/// the whole context set, for the axes whose per-context results overlap
+/// (descendant(-or-self), following, preceding, ancestor(-or-self)).
+/// Instead of stepping from every context and hashing the duplicates
+/// away afterwards, it visits the contexts in document order and prunes
+/// those whose result another context already covers (Grust, van
+/// Keulen, Teubner: staircase join):
+///  * descendant(-or-self): contexts inside the subtree of the last
+///    stepped-from context are skipped (an attribute context of
+///    descendant-or-self still yields itself, merged into place);
+///  * following: only the context with the smallest subtree end is
+///    stepped from;
+///  * preceding: only the last context (an attribute counts as its
+///    owner element, as in the cursor);
+///  * ancestor(-or-self): each context's climb stops at the previous
+///    context's order key, where the previous climb already went on.
+/// The output is duplicate-free; descendant(-or-self) and following
+/// output is in document order. Output tuples carry only `a` on top of
+/// the free attributes — the rewrite proved the input's own attributes
+/// dead.
+///
+/// With `streaming` (the input provably arrives doc-ordered and
+/// duplicate-free), contexts are pulled one at a time, so a consumer
+/// that stops early stops the input too. Otherwise the first Next
+/// drains the input into a sorted, duplicate-free spool, polling the
+/// deadline as it goes.
+class StaircaseStepIterator : public Iterator {
+ public:
+  StaircaseStepIterator(ExecutionContext* state, IteratorPtr child,
+                        runtime::RegisterId ctx, runtime::RegisterId out,
+                        runtime::Axis axis, runtime::NodeTest test,
+                        bool streaming);
+  Status OpenImpl() override;
+  Status NextImpl(bool* has) override;
+  /// Releases the cursor and the page pins of its accessor and drops
+  /// the spool before closing the child.
+  Status CloseImpl() override;
+
+ private:
+  /// Drops navigation state and page pins, updating the ledger.
+  void ReleaseNavigation();
+  /// Marks navigation as begun (page pins may be held from now on).
+  void BeginNavigation();
+  /// Empties the context spool, updating the ledger.
+  void DropSpool();
+  /// Fills the spool from the whole input, sorted and duplicate-free.
+  Status Drain();
+  /// The next context in document order without consuming it.
+  Status PeekContext(bool* has, runtime::NodeRef* node);
+  /// Consumes the context PeekContext returned.
+  void TakeContext() { have_peeked_ = false; }
+  /// Order key of the deepest last descendant of `node`.
+  StatusOr<uint64_t> SubtreeEnd(runtime::NodeRef node);
+  /// Whether `node` is an attribute that descendant-or-self::test
+  /// yields (the attribute itself, when it passes the node test).
+  StatusOr<bool> AttributeSelfMatches(runtime::NodeRef node);
+
+  Status NextDescendant(bool* has);
+  Status NextAncestor(bool* has);
+  /// following / preceding: one cursor from the single covering context.
+  Status NextFromCover(bool* has);
+  void Emit(runtime::NodeRef node, bool* has);
+
+  ExecutionContext* state_;
+  IteratorPtr child_;
+  runtime::RegisterId ctx_;
+  runtime::RegisterId out_;
+  runtime::Axis axis_;
+  runtime::NodeTest test_;
+  bool streaming_;
+
+  storage::NodeAccessor accessor_;
+  runtime::AxisCursor cursor_;
+  bool cursor_active_ = false;
+  bool navigating_ = false;
+
+  // Context source: the child (streaming) or the sorted spool.
+  bool filled_ = false;
+  std::vector<runtime::NodeRef> spool_;
+  size_t spool_pos_ = 0;
+  bool have_peeked_ = false;
+  runtime::NodeRef peeked_;
+
+  /// descendant: subtree end of the last context stepped from.
+  bool have_end_ = false;
+  uint64_t end_ = 0;
+  /// descendant-or-self: the cursor's next node, held back while
+  /// attribute contexts before it are emitted.
+  bool have_pending_ = false;
+  runtime::NodeRef pending_;
+  /// The child reported exhaustion (streaming).
+  bool input_done_ = false;
+  /// ancestor: the climb position, the order key where the climb stops
+  /// (the previous context's), and the last context taken.
+  storage::NodeId climb_;
+  bool have_stop_ = false;
+  uint64_t stop_order_ = 0;
+  bool have_last_ = false;
+  uint64_t last_order_ = 0;
+  /// following / preceding: the cursor was opened (once per Open).
+  bool cover_opened_ = false;
+};
+
 /// Concatenation ⊕ of several inputs.
 class ConcatIterator : public Iterator {
  public:
@@ -262,7 +366,8 @@ class DupElimIterator : public Iterator {
 };
 
 /// Sort by document order of a node attribute (Sec. 3.4.2). Materializes
-/// the child's written registers.
+/// the child's written registers on the first Next, where the drain can
+/// abort on a deadline like any other Next.
 class SortIterator : public Iterator {
  public:
   SortIterator(ExecutionContext* state, IteratorPtr child, runtime::RegisterId attr,
@@ -279,6 +384,8 @@ class SortIterator : public Iterator {
  private:
   /// Empties the spool, updating the resource ledger.
   void DropRows();
+  /// Drains the child into the spool and sorts it.
+  Status Fill();
 
   ExecutionContext* state_;
   IteratorPtr child_;
@@ -286,6 +393,7 @@ class SortIterator : public Iterator {
   std::vector<runtime::RegisterId> row_regs_;
   std::vector<std::pair<uint64_t, runtime::Row>> rows_;
   size_t pos_ = 0;
+  bool filled_ = false;
 };
 
 /// Tmp^cs / Tmp^cs_c (Sec. 3.3.4 / 4.3.1 / 5.2.4): materializes one

@@ -139,12 +139,12 @@ Status AxisCursor::Open(Axis axis, const NodeTest& test, NodeId context) {
   return Status::OK();
 }
 
-StatusOr<NodeId> AxisCursor::DeepestLast(NodeId node) {
-  NodeHeader record;
+StatusOr<NodeId> DeepestLast(storage::NodeAccessor* accessor, NodeId node,
+                             NodeHeader* header) {
   while (true) {
-    NATIX_RETURN_IF_ERROR(accessor_.ReadHeader(node, &record));
-    if (!record.last_child.valid()) return node;
-    node = record.last_child;
+    NATIX_RETURN_IF_ERROR(accessor->ReadHeader(node, header));
+    if (!header->last_child.valid()) return node;
+    node = header->last_child;
   }
 }
 
@@ -305,8 +305,9 @@ Status AxisCursor::Step() {
       // Reverse preorder, skipping ancestors of the context.
       while (true) {
         if (record_.prev_sibling.valid()) {
-          NATIX_ASSIGN_OR_RETURN(current_, DeepestLast(record_.prev_sibling));
-          NATIX_RETURN_IF_ERROR(accessor_.ReadHeader(current_, &record_));
+          NodeId prev = record_.prev_sibling;
+          NATIX_ASSIGN_OR_RETURN(current_,
+                                 DeepestLast(&accessor_, prev, &record_));
           return Status::OK();
         }
         current_ = record_.parent;

@@ -63,6 +63,15 @@ struct NodeTest {
 bool MatchesNodeTest(const storage::NodeHeader& header, const NodeTest& test,
                      bool principal_is_attribute);
 
+/// Deepest last descendant of `node` — the node itself if it has no
+/// children — following last-child links; its header lands in `*header`.
+/// It is the last non-attribute node of `node`'s subtree in document
+/// order: every non-attribute node of the subtree has an order key up to
+/// its key, every non-attribute node after the subtree a larger one.
+StatusOr<storage::NodeId> DeepestLast(storage::NodeAccessor* accessor,
+                                      storage::NodeId node,
+                                      storage::NodeHeader* header);
+
 /// Streaming cursor over one axis from one context node, filtered by a
 /// node test — the storage-level navigation primitive behind the
 /// unnest-map operator and the NVM navigation commands (Sec. 5.2.2).
@@ -86,9 +95,6 @@ class AxisCursor {
   /// Advances the raw axis walk by one node (pre node-test), storing it in
   /// current_/record_. Sets done_ when exhausted.
   Status Step();
-
-  /// Deepest last descendant of `node` (the node itself if childless).
-  StatusOr<storage::NodeId> DeepestLast(storage::NodeId node);
 
   const storage::NodeStore* store_;
   storage::NodeAccessor accessor_;

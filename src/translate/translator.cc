@@ -750,7 +750,7 @@ StatusOr<TranslationResult> Translate(const xpath::Expr& root,
     // (when verification is enabled) and names the offending rule.
     NATIX_RETURN_IF_ERROR(algebra::SimplifyPlanChecked(
                               &result.plan, &result.rewrites,
-                              options.limit_pushdown)
+                              options.limit_pushdown, result.result_attr)
                               .status());
   }
   if (options.result_limit > 0 && result.type == ExprType::kNodeSet) {

@@ -6,7 +6,9 @@
 // obs::QueryStats::RenderAnalyze — without depending on timings or
 // document scale. Note Figs. 6-8: the DupElim above the first
 // descendant step is gone, removed by the property-justified
-// simplifier (the step runs over a duplicate-free non-nested context).
+// simplifier (the step runs over a duplicate-free non-nested context),
+// and the later ppd steps with their DupElim became staircase steps,
+// labelled "streaming" or "drained" by how they consume their contexts.
 
 #include <gtest/gtest.h>
 
@@ -71,15 +73,13 @@ constexpr char kDblp[] =
 TEST(ExplainAnalyzeGoldenTest, Fig6Query1) {
   EXPECT_EQ(
       AnalyzeQuery(kXdoc, "/child::xdoc/desc::*/anc::*/desc::*/@id"),
-      R"(UnnestMap[c6 := c5/attribute::id] {card:n, dup-free(c6), non-nested(c6), class:attribute} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-  DupElim[c5] {card:n, dup-free(c5), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-    UnnestMap[c5 := c4/descendant::*] {card:n, class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-      DupElim[c4] {card:n, dup-free(c4), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-        UnnestMap[c4 := c3/ancestor::*] {card:n, class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-          UnnestMap[c3 := c2/descendant::*] {card:n, ord:doc(c3), dup-free(c3), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-            UnnestMap[c2 := c1/child::xdoc] {card:<=_, ord:doc(c2), dup-free(c2), non-nested(c2), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-              Map[c1 := root*(cn)] {card:1, ord:doc(c1), dup-free(c1), non-nested(c1), class:root} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-                SingletonScan (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
+      R"(UnnestMap[c6 := c5/attribute::id] {card:n, ord:doc(c6), dup-free(c6), non-nested(c6), class:attribute} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
+  StaircaseStep[c5 := {c4}/descendant::*] drained {card:n, ord:doc(c5), dup-free(c5), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
+    StaircaseStep[c4 := {c3}/ancestor::*] streaming {card:n, dup-free(c4), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
+      UnnestMap[c3 := c2/descendant::*] {card:n, ord:doc(c3), dup-free(c3), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
+        UnnestMap[c2 := c1/child::xdoc] {card:<=_, ord:doc(c2), dup-free(c2), non-nested(c2), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
+          Map[c1 := root*(cn)] {card:1, ord:doc(c1), dup-free(c1), non-nested(c1), class:root} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
+            SingletonScan (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
 buffer: page_reads=_ page_hits=_ page_writes=_ evictions=_
 strings: materializations=_ bytes=_
 )");
@@ -88,15 +88,14 @@ strings: materializations=_ bytes=_
 TEST(ExplainAnalyzeGoldenTest, Fig7Query2) {
   EXPECT_EQ(
       AnalyzeQuery(kXdoc, "/child::xdoc/desc::*/pre-sib::*/fol::*/@id"),
-      R"(UnnestMap[c6 := c5/attribute::id] {card:n, dup-free(c6), non-nested(c6), class:attribute} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-  DupElim[c5] {card:n, dup-free(c5), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-    UnnestMap[c5 := c4/following::*] {card:n, class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-      DupElim[c4] {card:n, dup-free(c4), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-        UnnestMap[c4 := c3/preceding-sibling::*] {card:n, class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-          UnnestMap[c3 := c2/descendant::*] {card:n, ord:doc(c3), dup-free(c3), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-            UnnestMap[c2 := c1/child::xdoc] {card:<=_, ord:doc(c2), dup-free(c2), non-nested(c2), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-              Map[c1 := root*(cn)] {card:1, ord:doc(c1), dup-free(c1), non-nested(c1), class:root} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-                SingletonScan (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
+      R"(UnnestMap[c6 := c5/attribute::id] {card:n, ord:doc(c6), dup-free(c6), non-nested(c6), class:attribute} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
+  StaircaseStep[c5 := {c4}/following::*] drained {card:n, ord:doc(c5), dup-free(c5), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
+    DupElim[c4] {card:n, dup-free(c4), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
+      UnnestMap[c4 := c3/preceding-sibling::*] {card:n, class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
+        UnnestMap[c3 := c2/descendant::*] {card:n, ord:doc(c3), dup-free(c3), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
+          UnnestMap[c2 := c1/child::xdoc] {card:<=_, ord:doc(c2), dup-free(c2), non-nested(c2), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
+            Map[c1 := root*(cn)] {card:1, ord:doc(c1), dup-free(c1), non-nested(c1), class:root} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
+              SingletonScan (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
 buffer: page_reads=_ page_hits=_ page_writes=_ evictions=_
 strings: materializations=_ bytes=_
 )");
@@ -106,14 +105,12 @@ TEST(ExplainAnalyzeGoldenTest, Fig8Query3) {
   EXPECT_EQ(
       AnalyzeQuery(kXdoc, "/child::xdoc/desc::*/anc::*/anc::*/@id"),
       R"(UnnestMap[c6 := c5/attribute::id] {card:n, dup-free(c6), non-nested(c6), class:attribute} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-  DupElim[c5] {card:n, dup-free(c5), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-    UnnestMap[c5 := c4/ancestor::*] {card:n, class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-      DupElim[c4] {card:n, dup-free(c4), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-        UnnestMap[c4 := c3/ancestor::*] {card:n, class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-          UnnestMap[c3 := c2/descendant::*] {card:n, ord:doc(c3), dup-free(c3), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-            UnnestMap[c2 := c1/child::xdoc] {card:<=_, ord:doc(c2), dup-free(c2), non-nested(c2), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-              Map[c1 := root*(cn)] {card:1, ord:doc(c1), dup-free(c1), non-nested(c1), class:root} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-                SingletonScan (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
+  StaircaseStep[c5 := {c4}/ancestor::*] drained {card:n, dup-free(c5), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
+    StaircaseStep[c4 := {c3}/ancestor::*] streaming {card:n, dup-free(c4), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
+      UnnestMap[c3 := c2/descendant::*] {card:n, ord:doc(c3), dup-free(c3), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
+        UnnestMap[c2 := c1/child::xdoc] {card:<=_, ord:doc(c2), dup-free(c2), non-nested(c2), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
+          Map[c1 := root*(cn)] {card:1, ord:doc(c1), dup-free(c1), non-nested(c1), class:root} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
+            SingletonScan (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
 buffer: page_reads=_ page_hits=_ page_writes=_ evictions=_
 strings: materializations=_ bytes=_
 )");
@@ -122,15 +119,14 @@ strings: materializations=_ bytes=_
 TEST(ExplainAnalyzeGoldenTest, Fig9Query4) {
   EXPECT_EQ(
       AnalyzeQuery(kXdoc, "/child::xdoc/child::*/par::*/desc::*/@id"),
-      R"(UnnestMap[c6 := c5/attribute::id] {card:n, dup-free(c6), non-nested(c6), class:attribute} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-  DupElim[c5] {card:n, dup-free(c5), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-    UnnestMap[c5 := c4/descendant::*] {card:n, class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-      DupElim[c4] {card:n, dup-free(c4), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-        UnnestMap[c4 := c3/parent::*] {card:n, class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-          UnnestMap[c3 := c2/child::*] {card:n, ord:doc(c3), dup-free(c3), non-nested(c3), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-            UnnestMap[c2 := c1/child::xdoc] {card:<=_, ord:doc(c2), dup-free(c2), non-nested(c2), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-              Map[c1 := root*(cn)] {card:1, ord:doc(c1), dup-free(c1), non-nested(c1), class:root} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-                SingletonScan (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
+      R"(UnnestMap[c6 := c5/attribute::id] {card:n, ord:doc(c6), dup-free(c6), non-nested(c6), class:attribute} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
+  StaircaseStep[c5 := {c4}/descendant::*] drained {card:n, ord:doc(c5), dup-free(c5), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
+    DupElim[c4] {card:n, dup-free(c4), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
+      UnnestMap[c4 := c3/parent::*] {card:n, class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
+        UnnestMap[c3 := c2/child::*] {card:n, ord:doc(c3), dup-free(c3), non-nested(c3), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
+          UnnestMap[c2 := c1/child::xdoc] {card:<=_, ord:doc(c2), dup-free(c2), non-nested(c2), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
+            Map[c1 := root*(cn)] {card:1, ord:doc(c1), dup-free(c1), non-nested(c1), class:root} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
+              SingletonScan (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
 buffer: page_reads=_ page_hits=_ page_writes=_ evictions=_
 strings: materializations=_ bytes=_
 )");

@@ -3,9 +3,11 @@
 // ExplainProperties() pin which claims the inference engine derives (and
 // hence which DupElim/Sort operators the rewriter may remove), and
 // ExplainJson() is checked for structure and content. These five goldens
-// are the contract of the paper-query win: Figs. 6-8 lose the dedup
-// after the initial descendant step, Fig. 10's result stream is proven
-// document-ordered so the API skips its final sort.
+// are the contract of the paper-query wins: Figs. 6-8 lose the dedup
+// after the initial descendant step, the remaining ppd-step dedups of
+// Figs. 6-9 become staircase steps, and the result streams of Figs. 6,
+// 7, 9 and 10 are proven document-ordered so the API skips its final
+// sort.
 
 #include <gtest/gtest.h>
 
@@ -49,32 +51,31 @@ TEST(ExplainPropertiesGoldenTest, Fig6Query1) {
   auto q = CompileQuery(kXdoc, "/child::xdoc/desc::*/anc::*/desc::*/@id");
   EXPECT_EQ(
       q->ExplainProperties(),
-      R"(UnnestMap[c6 := c5/attribute::id]  {card:n, dup-free(c6), non-nested(c6), class:attribute}
-  DupElim[c5]  {card:n, dup-free(c5), class:element}
-    UnnestMap[c5 := c4/descendant::*]  {card:n, class:element}
-      DupElim[c4]  {card:n, dup-free(c4), class:element}
-        UnnestMap[c4 := c3/ancestor::*]  {card:n, class:element}
-          UnnestMap[c3 := c2/descendant::*]  {card:n, ord:doc(c3), dup-free(c3), class:element}
-            UnnestMap[c2 := c1/child::xdoc]  {card:<=1, ord:doc(c2), dup-free(c2), non-nested(c2), class:element}
-              Map[c1 := root*(cn)]  {card:1, ord:doc(c1), dup-free(c1), non-nested(c1), class:root}
-                SingletonScan  {card:1}
+      R"(UnnestMap[c6 := c5/attribute::id]  {card:n, ord:doc(c6), dup-free(c6), non-nested(c6), class:attribute}
+  StaircaseStep[c5 := {c4}/descendant::*]  {card:n, ord:doc(c5), dup-free(c5), class:element}
+    StaircaseStep[c4 := {c3}/ancestor::*]  {card:n, dup-free(c4), class:element}
+      UnnestMap[c3 := c2/descendant::*]  {card:n, ord:doc(c3), dup-free(c3), class:element}
+        UnnestMap[c2 := c1/child::xdoc]  {card:<=1, ord:doc(c2), dup-free(c2), non-nested(c2), class:element}
+          Map[c1 := root*(cn)]  {card:1, ord:doc(c1), dup-free(c1), non-nested(c1), class:root}
+            SingletonScan  {card:1}
 )");
-  EXPECT_FALSE(q->ResultDocumentOrdered());
+  // The final staircase descendant step emits in document order: the
+  // API skips the result sort.
+  EXPECT_TRUE(q->ResultDocumentOrdered());
 }
 
 TEST(ExplainPropertiesGoldenTest, Fig7Query2) {
   auto q = CompileQuery(kXdoc, "/child::xdoc/desc::*/pre-sib::*/fol::*/@id");
   EXPECT_EQ(
       q->ExplainProperties(),
-      R"(UnnestMap[c6 := c5/attribute::id]  {card:n, dup-free(c6), non-nested(c6), class:attribute}
-  DupElim[c5]  {card:n, dup-free(c5), class:element}
-    UnnestMap[c5 := c4/following::*]  {card:n, class:element}
-      DupElim[c4]  {card:n, dup-free(c4), class:element}
-        UnnestMap[c4 := c3/preceding-sibling::*]  {card:n, class:element}
-          UnnestMap[c3 := c2/descendant::*]  {card:n, ord:doc(c3), dup-free(c3), class:element}
-            UnnestMap[c2 := c1/child::xdoc]  {card:<=1, ord:doc(c2), dup-free(c2), non-nested(c2), class:element}
-              Map[c1 := root*(cn)]  {card:1, ord:doc(c1), dup-free(c1), non-nested(c1), class:root}
-                SingletonScan  {card:1}
+      R"(UnnestMap[c6 := c5/attribute::id]  {card:n, ord:doc(c6), dup-free(c6), non-nested(c6), class:attribute}
+  StaircaseStep[c5 := {c4}/following::*]  {card:n, ord:doc(c5), dup-free(c5), class:element}
+    DupElim[c4]  {card:n, dup-free(c4), class:element}
+      UnnestMap[c4 := c3/preceding-sibling::*]  {card:n, class:element}
+        UnnestMap[c3 := c2/descendant::*]  {card:n, ord:doc(c3), dup-free(c3), class:element}
+          UnnestMap[c2 := c1/child::xdoc]  {card:<=1, ord:doc(c2), dup-free(c2), non-nested(c2), class:element}
+            Map[c1 := root*(cn)]  {card:1, ord:doc(c1), dup-free(c1), non-nested(c1), class:root}
+              SingletonScan  {card:1}
 )");
 }
 
@@ -83,14 +84,12 @@ TEST(ExplainPropertiesGoldenTest, Fig8Query3) {
   EXPECT_EQ(
       q->ExplainProperties(),
       R"(UnnestMap[c6 := c5/attribute::id]  {card:n, dup-free(c6), non-nested(c6), class:attribute}
-  DupElim[c5]  {card:n, dup-free(c5), class:element}
-    UnnestMap[c5 := c4/ancestor::*]  {card:n, class:element}
-      DupElim[c4]  {card:n, dup-free(c4), class:element}
-        UnnestMap[c4 := c3/ancestor::*]  {card:n, class:element}
-          UnnestMap[c3 := c2/descendant::*]  {card:n, ord:doc(c3), dup-free(c3), class:element}
-            UnnestMap[c2 := c1/child::xdoc]  {card:<=1, ord:doc(c2), dup-free(c2), non-nested(c2), class:element}
-              Map[c1 := root*(cn)]  {card:1, ord:doc(c1), dup-free(c1), non-nested(c1), class:root}
-                SingletonScan  {card:1}
+  StaircaseStep[c5 := {c4}/ancestor::*]  {card:n, dup-free(c5), class:element}
+    StaircaseStep[c4 := {c3}/ancestor::*]  {card:n, dup-free(c4), class:element}
+      UnnestMap[c3 := c2/descendant::*]  {card:n, ord:doc(c3), dup-free(c3), class:element}
+        UnnestMap[c2 := c1/child::xdoc]  {card:<=1, ord:doc(c2), dup-free(c2), non-nested(c2), class:element}
+          Map[c1 := root*(cn)]  {card:1, ord:doc(c1), dup-free(c1), non-nested(c1), class:root}
+            SingletonScan  {card:1}
 )");
   // The descendant-step dedup is proven redundant; its removal is logged
   // with the proving property.
@@ -108,15 +107,14 @@ TEST(ExplainPropertiesGoldenTest, Fig9Query4) {
   auto q = CompileQuery(kXdoc, "/child::xdoc/child::*/par::*/desc::*/@id");
   EXPECT_EQ(
       q->ExplainProperties(),
-      R"(UnnestMap[c6 := c5/attribute::id]  {card:n, dup-free(c6), non-nested(c6), class:attribute}
-  DupElim[c5]  {card:n, dup-free(c5), class:element}
-    UnnestMap[c5 := c4/descendant::*]  {card:n, class:element}
-      DupElim[c4]  {card:n, dup-free(c4), class:element}
-        UnnestMap[c4 := c3/parent::*]  {card:n, class:element}
-          UnnestMap[c3 := c2/child::*]  {card:n, ord:doc(c3), dup-free(c3), non-nested(c3), class:element}
-            UnnestMap[c2 := c1/child::xdoc]  {card:<=1, ord:doc(c2), dup-free(c2), non-nested(c2), class:element}
-              Map[c1 := root*(cn)]  {card:1, ord:doc(c1), dup-free(c1), non-nested(c1), class:root}
-                SingletonScan  {card:1}
+      R"(UnnestMap[c6 := c5/attribute::id]  {card:n, ord:doc(c6), dup-free(c6), non-nested(c6), class:attribute}
+  StaircaseStep[c5 := {c4}/descendant::*]  {card:n, ord:doc(c5), dup-free(c5), class:element}
+    DupElim[c4]  {card:n, dup-free(c4), class:element}
+      UnnestMap[c4 := c3/parent::*]  {card:n, class:element}
+        UnnestMap[c3 := c2/child::*]  {card:n, ord:doc(c3), dup-free(c3), non-nested(c3), class:element}
+          UnnestMap[c2 := c1/child::xdoc]  {card:<=1, ord:doc(c2), dup-free(c2), non-nested(c2), class:element}
+            Map[c1 := root*(cn)]  {card:1, ord:doc(c1), dup-free(c1), non-nested(c1), class:root}
+              SingletonScan  {card:1}
 )");
 }
 
@@ -188,27 +186,33 @@ TEST(ExplainJsonGoldenTest, PaperQueriesCarrySegments) {
   // Every paper query's --explain-json carries the fusability
   // segmentation next to the plan, and Figs. 6-8 each keep a
   // multi-operator fusable segment (the navigation spine below the last
-  // DupElim) — the NVM fusion compiler's work list.
+  // boundary — a DupElim, or a staircase step draining its context
+  // set) — the NVM fusion compiler's work list. A staircase step over a
+  // doc-ordered context stream streams, and stays on the spine.
   const struct {
     const char* xml;
     const char* query;
     const char* spine;  // first op of the multi-operator fusable segment
+    const char* barrier;
   } cases[] = {
       {kXdoc, "/child::xdoc/desc::*/anc::*/desc::*/@id",
-       "\"UnnestMap[c4 := c3/ancestor::*]\",\"UnnestMap[c3 := "
-       "c2/descendant::*]\""},
+       "\"StaircaseStep[c4 := {c3}/ancestor::*]\",\"UnnestMap[c3 := "
+       "c2/descendant::*]\"",
+       "blocking: drains and sorts the context set"},
       {kXdoc, "/child::xdoc/desc::*/pre-sib::*/fol::*/@id",
        "\"UnnestMap[c4 := c3/preceding-sibling::*]\",\"UnnestMap[c3 := "
-       "c2/descendant::*]\""},
+       "c2/descendant::*]\"",
+       "stateful: duplicate seen-set"},
       {kXdoc, "/child::xdoc/desc::*/anc::*/anc::*/@id",
-       "\"UnnestMap[c4 := c3/ancestor::*]\",\"UnnestMap[c3 := "
-       "c2/descendant::*]\""},
+       "\"StaircaseStep[c4 := {c3}/ancestor::*]\",\"UnnestMap[c3 := "
+       "c2/descendant::*]\"",
+       "blocking: drains and sorts the context set"},
   };
   for (const auto& c : cases) {
     auto q = CompileQuery(c.xml, c.query);
     const std::string& json = q->ExplainJson();
     EXPECT_NE(json.find("\"segments\":[{"), std::string::npos) << c.query;
-    EXPECT_NE(json.find("\"barrier\":\"stateful: duplicate seen-set\""),
+    EXPECT_NE(json.find("\"barrier\":\"" + std::string(c.barrier) + "\""),
               std::string::npos)
         << c.query;
     // The fusable spine stays one segment: consecutive ops in one array.
@@ -219,17 +223,13 @@ TEST(ExplainJsonGoldenTest, PaperQueriesCarrySegments) {
 TEST(ExplainSegmentsGoldenTest, Fig6Segments) {
   auto q = CompileQuery(kXdoc, "/child::xdoc/desc::*/anc::*/desc::*/@id");
   EXPECT_EQ(q->ExplainSegments(),
-            R"(pipeline segments: 5 (3 fusable)
+            R"(pipeline segments: 3 (2 fusable)
   segment 0 [fusable]
     UnnestMap[c6 := c5/attribute::id]
-  segment 1 [boundary: stateful: duplicate seen-set]
-    DupElim[c5]
+  segment 1 [boundary: blocking: drains and sorts the context set]
+    StaircaseStep[c5 := {c4}/descendant::*]
   segment 2 [fusable]
-    UnnestMap[c5 := c4/descendant::*]
-  segment 3 [boundary: stateful: duplicate seen-set]
-    DupElim[c4]
-  segment 4 [fusable]
-    UnnestMap[c4 := c3/ancestor::*]
+    StaircaseStep[c4 := {c3}/ancestor::*]
     UnnestMap[c3 := c2/descendant::*]
     UnnestMap[c2 := c1/child::xdoc]
     Map[c1 := root*(cn)]

@@ -33,7 +33,8 @@ uint32_t BaseSeed() {
 }
 
 /// Path generator biased toward the step combinations the rewriter acts
-/// on: ordered child chains (Sort removal), ppd steps (DupElim removal),
+/// on: ordered child chains (Sort removal), ppd steps (DupElim removal
+/// and staircase steps, attribute contexts included),
 /// sibling/reverse axes (claims must be withheld), attribute and text
 /// steps (static-emptiness compositions), and positional filters (Sort
 /// placement).
@@ -66,10 +67,22 @@ class RewritePathGen {
   std::string Step() {
     std::string axis =
         Pick({"", "", "", "descendant::", "descendant-or-self::",
-              "ancestor::", "parent::", "self::", "following::",
-              "following-sibling::", "preceding-sibling::"});
+              "ancestor::", "ancestor-or-self::", "parent::", "self::",
+              "following::", "preceding::", "following-sibling::",
+              "preceding-sibling::"});
     std::string test = Pick({"a", "b", "c", "*", "node()", "text()"});
-    if (Int(8) == 0) return "@" + Pick({"id", "x", "*"});
+    if (Int(8) == 0) {
+      std::string attr = "@" + Pick({"id", "x", "*"});
+      // An -or-self step from an attribute yields the attribute itself,
+      // which the staircase step must keep although its order key lies
+      // inside the owner element's subtree range.
+      if (Int(2) == 0) {
+        attr += "/" +
+                Pick({"descendant-or-self::", "ancestor-or-self::"}) +
+                Pick({"node()", "*"});
+      }
+      return attr;
+    }
     return axis + test;
   }
 

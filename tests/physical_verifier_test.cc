@@ -153,8 +153,9 @@ translate::TranslationResult Translate(const std::string& query) {
 TEST(SegmentVerifierTest, RejectsMislabeledFusableSegment) {
   // Take the real segmentation of a plan with a DupElim boundary and flip
   // the boundary segment to "fusable": the verifier re-derives the truth
-  // and names the operator.
-  auto result = Translate("/child::xdoc/desc::*/anc::*/desc::*/@id");
+  // and names the operator. (A sibling step keeps its DupElim; the
+  // ppd-axis dedups of the Fig. 6 plan became staircase steps.)
+  auto result = Translate("/child::xdoc/desc::*/pre-sib::*/@id");
   const algebra::Operator& plan = *result.plan;
   Segmentation seg = SegmentPlan(plan);
   ASSERT_GT(seg.segments.size(), 1u);

@@ -6,9 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
 
 #include "algebra/operator.h"
+#include "analysis/plan_verifier.h"
+#include "analysis/property_inference.h"
 #include "api/database.h"
 #include "qe/codegen.h"
 #include "qe/exec_context.h"
@@ -245,6 +249,285 @@ TEST(QeOperatorTest, ProjectIsTransparent) {
   EXPECT_EQ(h.RunValues(std::move(project), "n"),
             std::vector<std::string>{"6"});
 }
+
+// ---------------------------------------------------------------------------
+// Staircase step (Υˢ): the set-at-a-time step the "staircase-step" rewrite
+// substitutes for DupElim over a ppd step.
+// ---------------------------------------------------------------------------
+
+/// Nested elements with id/x attributes and long text nodes: ~24 pages,
+/// loaded into a 16-page pool with 2 shards, so navigation faults and
+/// evicts while the staircase step runs.
+std::string StaircaseDocument() {
+  const std::string text(1500, 't');
+  int id = 0;
+  std::function<std::string(int)> element = [&](int depth) {
+    const int my_id = id++;
+    const char* name = my_id % 3 == 0 ? "a" : (my_id % 3 == 1 ? "b" : "c");
+    std::string out = std::string("<") + name + " id=\"n" +
+                      std::to_string(my_id) + "\"";
+    if (my_id % 2 == 1) out += " x=\"" + std::to_string(my_id % 4) + "\"";
+    out += ">" + text;
+    if (depth < 3) {
+      for (int i = 0; i < 4; ++i) out += element(depth + 1);
+      out += text;
+    }
+    return out + "</" + name + ">";
+  };
+  return element(0);
+}
+
+const runtime::Axis kStaircaseAxes[] = {
+    runtime::Axis::kDescendant, runtime::Axis::kDescendantOrSelf,
+    runtime::Axis::kFollowing,  runtime::Axis::kPreceding,
+    runtime::Axis::kAncestor,   runtime::Axis::kAncestorOrSelf};
+
+/// Runs hand-built plans over StaircaseDocument() with plan verification
+/// on: the property oracle checks every order / duplicate-freedom claim
+/// and ExecuteNodes audits the resource ledger after Close.
+class StaircaseStepTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    was_verifying_ = analysis::VerificationEnabled();
+    analysis::SetVerificationEnabled(true);
+    Database::Options options;
+    options.buffer_pages = 16;
+    options.buffer_shards = 2;
+    auto database = Database::CreateTemp(options);
+    ASSERT_TRUE(database.ok());
+    db_ = std::move(database.value());
+    auto info = db_->LoadDocument("doc", StaircaseDocument());
+    ASSERT_TRUE(info.ok()) << info.status().ToString();
+    root_ = info->root;
+  }
+  void TearDown() override { analysis::SetVerificationEnabled(was_verifying_); }
+
+  static OpPtr RootMap() {
+    ScalarPtr root_call = MakeScalar(ScalarKind::kFunc);
+    root_call->function = xpath::FunctionId::kRootInternal;
+    root_call->children.push_back(Attr(translate::kContextNodeAttr));
+    return Map("r", std::move(root_call), Scan());
+  }
+
+  static OpPtr Step(const std::string& attr, const std::string& ctx,
+                    runtime::Axis axis, xpath::AstNodeTest::Kind test,
+                    OpPtr child, OpKind kind = OpKind::kUnnestMap) {
+    OpPtr op = MakeOp(kind);
+    op->attr = attr;
+    op->ctx_attr = ctx;
+    op->axis = axis;
+    op->test.kind = test;
+    op->children.push_back(std::move(child));
+    return op;
+  }
+
+  static OpPtr Concat(OpPtr a, OpPtr b) {
+    OpPtr op = MakeOp(OpKind::kConcat);
+    op->children.push_back(std::move(a));
+    op->children.push_back(std::move(b));
+    return op;
+  }
+
+  static OpPtr OnAttr(OpKind kind, const std::string& attr, OpPtr child) {
+    OpPtr op = MakeOp(kind);
+    op->attr = attr;
+    op->children.push_back(std::move(child));
+    return op;
+  }
+
+  /// Context streams "c" of different shapes; each call builds a fresh
+  /// tree.
+  struct ContextShape {
+    const char* name;
+    std::function<OpPtr()> build;
+  };
+
+  static std::vector<ContextShape> Shapes() {
+    using K = xpath::AstNodeTest::Kind;
+    using runtime::Axis;
+    return {
+        // Doc-ordered, duplicate-free, nested (elements and text).
+        {"nested-ordered",
+         [] {
+           return Step("c", "r", Axis::kDescendant, K::kAnyKind, RootMap());
+         }},
+        // Reverse sibling runs, deduplicated (first occurrences keep
+        // their unordered positions).
+        {"unordered",
+         [] {
+           return OnAttr(
+               OpKind::kDupElim, "c",
+               Step("c", "e", Axis::kPrecedingSibling, K::kAnyKind,
+                    Step("e", "r", Axis::kDescendant, K::kAnyName,
+                         RootMap())));
+         }},
+        // Every element twice.
+        {"duplicates",
+         [] {
+           return Concat(
+               Step("c", "r", Axis::kDescendant, K::kAnyName, RootMap()),
+               Step("c", "r", Axis::kDescendant, K::kAnyName, RootMap()));
+         }},
+        // Attributes and text nodes after all elements: unordered.
+        {"attributes-text-elements",
+         [] {
+           return Concat(
+               Concat(Step("c", "e", Axis::kAttribute, K::kAnyName,
+                           Step("e", "r", Axis::kDescendant, K::kAnyName,
+                                RootMap())),
+                      Step("c", "r", Axis::kDescendant, K::kText,
+                           RootMap())),
+               Step("c", "r", Axis::kDescendantOrSelf, K::kAnyName,
+                    RootMap()));
+         }},
+        // The same mix sorted and deduplicated: doc-ordered, so the
+        // step streams with attribute contexts inside element subtrees.
+        {"attributes-ordered",
+         [] {
+           return OnAttr(
+               OpKind::kDupElim, "c",
+               OnAttr(OpKind::kSort, "c",
+                      Concat(Step("c", "e", Axis::kAttribute, K::kAnyName,
+                                  Step("e", "r", Axis::kDescendant,
+                                       K::kAnyName, RootMap())),
+                             Step("c", "r", Axis::kDescendant, K::kAnyKind,
+                                  RootMap()))));
+         }},
+        // Attribute contexts only (@x/descendant-or-self::node() keeps
+        // each attribute).
+        {"attributes-only",
+         [] {
+           return Step("c", "e", Axis::kAttribute, K::kAnyName,
+                       Step("e", "r", Axis::kDescendantOrSelf, K::kAnyName,
+                            RootMap()));
+         }},
+        // Text contexts only.
+        {"text",
+         [] {
+           return Step("c", "r", Axis::kDescendant, K::kText, RootMap());
+         }},
+    };
+  }
+
+  static OpPtr Limit(OpPtr child, uint64_t limit) {
+    OpPtr op = MakeOp(OpKind::kLimit);
+    op->limit = limit;
+    op->children.push_back(std::move(child));
+    return op;
+  }
+
+  /// Executes a plan, returning the result nodes' order keys in plan
+  /// order, and the execution's stats totals.
+  std::vector<uint64_t> Execute(OpPtr plan, const std::string& result_attr,
+                                obs::StatsTotals* totals = nullptr) {
+    translate::TranslationResult translation;
+    translation.plan = std::move(plan);
+    translation.result_attr = result_attr;
+    translation.type = xpath::ExprType::kNodeSet;
+    auto prepared = Codegen::Prepare(std::move(translation), db_->store());
+    EXPECT_TRUE(prepared.ok()) << prepared.status().ToString();
+    if (!prepared.ok()) return {};
+    auto context = (*prepared)->NewContext(/*collect_stats=*/true);
+    EXPECT_TRUE(context.ok());
+    storage::NodeRecord record;
+    EXPECT_TRUE(db_->store()->ReadNode(root_, &record).ok());
+    (*context)->SetContextNode(runtime::NodeRef::Make(root_, record.order));
+    auto nodes = (*context)->ExecuteNodes();
+    EXPECT_TRUE(nodes.ok()) << nodes.status().ToString();
+    if (totals != nullptr) *totals = (*context)->stats()->ComputeTotals();
+    std::vector<uint64_t> out;
+    if (nodes.ok()) {
+      for (const runtime::NodeRef& ref : *nodes) out.push_back(ref.order);
+    }
+    return out;
+  }
+
+  bool was_verifying_ = false;
+  std::unique_ptr<Database> db_;
+  storage::NodeId root_;
+};
+
+TEST_F(StaircaseStepTest, MatchesDupElimOverPerContextStep) {
+  using K = xpath::AstNodeTest::Kind;
+  for (const ContextShape& shape : Shapes()) {
+    for (runtime::Axis axis : kStaircaseAxes) {
+      for (K test : {K::kAnyKind, K::kAnyName}) {
+        SCOPED_TRACE(std::string(shape.name) + " / " +
+                     runtime::AxisName(axis) +
+                     (test == K::kAnyKind ? "::node()" : "::*"));
+        std::vector<uint64_t> staircase = Execute(
+            Step("o", "c", axis, test, shape.build(),
+                 OpKind::kStaircaseStep),
+            "o");
+        std::vector<uint64_t> per_context = Execute(
+            OnAttr(OpKind::kDupElim, "o",
+                   Step("o", "c", axis, test, shape.build())),
+            "o");
+        // Duplicate-free; forward axes in document order.
+        std::vector<uint64_t> sorted = staircase;
+        std::sort(sorted.begin(), sorted.end());
+        EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()),
+                  sorted.end());
+        if (!runtime::AxisIsReverse(axis)) {
+          EXPECT_EQ(staircase, sorted);
+        }
+        std::sort(per_context.begin(), per_context.end());
+        EXPECT_EQ(sorted, per_context);
+      }
+    }
+  }
+  // The pool is smaller than the document: the steps above evicted.
+  EXPECT_GT(db_->store()->buffer_manager()->eviction_count(), 0u);
+}
+
+TEST_F(StaircaseStepTest, StreamsOnlyOverOrderedDuplicateFreeContexts) {
+  for (const ContextShape& shape : Shapes()) {
+    OpPtr input = shape.build();
+    analysis::PlanProperties props = analysis::InferPlanProperties(*input);
+    OpPtr step = Step("o", "c", runtime::Axis::kDescendant,
+                      xpath::AstNodeTest::Kind::kAnyName, std::move(input),
+                      OpKind::kStaircaseStep);
+    const std::string name = shape.name;
+    const bool expect_streaming = name == "nested-ordered" ||
+                                  name == "attributes-ordered" ||
+                                  name == "attributes-only" ||
+                                  name == "text";
+    EXPECT_EQ(analysis::StaircaseStepStreams(*step, props), expect_streaming)
+        << name;
+  }
+}
+
+#if !defined(NATIX_OBS_DISABLED)
+// Counts next calls through the per-operator stats.
+TEST_F(StaircaseStepTest, StreamingStepStopsItsInputEarly) {
+  using K = xpath::AstNodeTest::Kind;
+  for (runtime::Axis axis :
+       {runtime::Axis::kDescendant, runtime::Axis::kAncestorOrSelf}) {
+    SCOPED_TRACE(runtime::AxisName(axis));
+    obs::StatsTotals full;
+    std::vector<uint64_t> all = Execute(
+        Step("o", "c", axis, K::kAnyName,
+             Step("c", "r", runtime::Axis::kDescendant, K::kAnyName,
+                  RootMap()),
+             OpKind::kStaircaseStep),
+        "o", &full);
+    ASSERT_GT(all.size(), 20u);
+    obs::StatsTotals capped;
+    std::vector<uint64_t> first = Execute(
+        Limit(Step("o", "c", axis, K::kAnyName,
+                   Step("c", "r", runtime::Axis::kDescendant, K::kAnyName,
+                        RootMap()),
+                   OpKind::kStaircaseStep),
+              1),
+        "o", &capped);
+    ASSERT_EQ(first.size(), 1u);
+    EXPECT_EQ(first[0], all[0]);
+    // One context pulled, not the whole descendant set.
+    EXPECT_LT(capped.next_calls * 10, full.next_calls)
+        << "capped=" << capped.next_calls << " full=" << full.next_calls;
+  }
+}
+#endif  // !NATIX_OBS_DISABLED
 
 }  // namespace
 }  // namespace natix::qe

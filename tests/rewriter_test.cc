@@ -7,6 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
+#include "analysis/plan_verifier.h"
+#include "api/database.h"
+#include "dom/dom_builder.h"
+#include "interp/evaluator.h"
 #include "translate/translator.h"
 #include "xpath/fold.h"
 #include "xpath/normalizer.h"
@@ -203,6 +211,242 @@ TEST(RewriterTest, CheckedSimplifyAcceptsItsOwnRewrites) {
   auto removed = SimplifyPlanChecked(&result.plan, &log);
   ASSERT_TRUE(removed.ok()) << removed.status().ToString();
   EXPECT_GE(*removed, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// staircase-step: DupElim over a ppd step becomes one set-at-a-time step.
+// ---------------------------------------------------------------------------
+
+/// Simplifies `query`'s improved translation with its result attribute
+/// known (as Translate does), returning the rewrite log.
+RewriteLog SimplifyWithResult(translate::TranslationResult* result) {
+  RewriteLog log;
+  SimplifyPlan(&result->plan, &log, /*limit_pushdown=*/true,
+               result->result_attr);
+  return log;
+}
+
+size_t CountRule(const RewriteLog& log, const std::string& rule) {
+  size_t n = 0;
+  for (const RewriteEvent& event : log) n += event.rule == rule ? 1 : 0;
+  return n;
+}
+
+TEST(StaircaseRuleTest, FiresOnPaperFigures) {
+  const struct {
+    const char* query;
+    size_t steps;
+  } figures[] = {
+      {"/child::xdoc/desc::*/anc::*/desc::*/@id", 2},     // Fig. 6
+      {"/child::xdoc/desc::*/pre-sib::*/fol::*/@id", 1},  // Fig. 7
+      {"/child::xdoc/desc::*/anc::*/anc::*/@id", 2},      // Fig. 8
+      {"/child::xdoc/child::*/par::*/desc::*/@id", 1},    // Fig. 9
+  };
+  for (const auto& figure : figures) {
+    auto result = TranslateNoSimplify(figure.query);
+    // Only the simplifier creates staircase steps.
+    EXPECT_EQ(CountKind(*result.plan, OpKind::kStaircaseStep), 0u);
+    RewriteLog log = SimplifyWithResult(&result);
+    EXPECT_EQ(CountRule(log, "staircase-step"), figure.steps)
+        << figure.query;
+    EXPECT_EQ(CountKind(*result.plan, OpKind::kStaircaseStep), figure.steps)
+        << figure.query;
+    // Sibling and parent steps keep their DupElim.
+    const size_t kept = std::string(figure.query).find("pre-sib") !=
+                                std::string::npos ||
+                            std::string(figure.query).find("par::") !=
+                                std::string::npos
+                        ? 1
+                        : 0;
+    EXPECT_EQ(CountKind(*result.plan, OpKind::kDupElim), kept)
+        << figure.query;
+  }
+}
+
+TEST(StaircaseRuleTest, CheckedRewriteVerifies) {
+  auto result =
+      TranslateNoSimplify("/child::xdoc/desc::*/anc::*/desc::*/@id");
+  RewriteLog log;
+  auto removed = SimplifyPlanChecked(&result.plan, &log,
+                                     /*limit_pushdown=*/true,
+                                     result.result_attr);
+  ASSERT_TRUE(removed.ok()) << removed.status().ToString();
+  EXPECT_EQ(CountRule(log, "staircase-step"), 2u);
+  // The justification names the input attributes it proved unread.
+  for (const RewriteEvent& event : log) {
+    if (event.rule != "staircase-step") continue;
+    EXPECT_NE(event.justification.find("unread above"), std::string::npos);
+  }
+}
+
+TEST(StaircaseRuleTest, StaysOffWithoutResultAttribute) {
+  auto result = TranslateNoSimplify("/child::xdoc/desc::*/anc::*/@id");
+  SimplifyPlan(&result.plan);
+  EXPECT_EQ(CountKind(*result.plan, OpKind::kStaircaseStep), 0u);
+}
+
+TEST(StaircaseRuleTest, PerContextOperatorsKeepThePerContextStep) {
+  // A positional counter (reset per context) or a predicate between the
+  // step and its DupElim needs the per-context step.
+  for (const char* query :
+       {"/a/b/following::c[1]", "/a/b/ancestor::*[2]",
+        "/a/b/preceding::c[@x]", "//b/descendant::c[last()]"}) {
+    auto result = TranslateNoSimplify(query);
+    RewriteLog log = SimplifyWithResult(&result);
+    EXPECT_EQ(CountRule(log, "staircase-step"), 0u) << query;
+    EXPECT_GE(CountKind(*result.plan, OpKind::kDupElim), 1u) << query;
+  }
+}
+
+/// DupElim[o](Υ[o := c/descendant::*](Υ[c := r/child::*](χ[r := root(cn)](□)))).
+OpPtr DedupedDescendants() {
+  OpPtr map = MakeOp(OpKind::kMap);
+  map->attr = "r";
+  map->scalar = MakeScalar(ScalarKind::kFunc);
+  map->scalar->function = xpath::FunctionId::kRootInternal;
+  ScalarPtr cn = MakeScalar(ScalarKind::kAttrRef);
+  cn->name = "cn";
+  map->scalar->children.push_back(std::move(cn));
+  map->children.push_back(MakeOp(OpKind::kSingletonScan));
+  OpPtr child = MakeOp(OpKind::kUnnestMap);
+  child->attr = "c";
+  child->ctx_attr = "r";
+  child->axis = runtime::Axis::kChild;
+  child->test.kind = xpath::AstNodeTest::Kind::kAnyName;
+  child->children.push_back(std::move(map));
+  OpPtr desc = MakeOp(OpKind::kUnnestMap);
+  desc->attr = "o";
+  desc->ctx_attr = "c";
+  desc->axis = runtime::Axis::kAncestor;
+  desc->test.kind = xpath::AstNodeTest::Kind::kAnyName;
+  desc->children.push_back(std::move(child));
+  OpPtr dedup = MakeOp(OpKind::kDupElim);
+  dedup->attr = "o";
+  dedup->children.push_back(std::move(desc));
+  return dedup;
+}
+
+TEST(StaircaseRuleTest, FiresWhenOnlyTheStepOutputIsRead) {
+  OpPtr plan = DedupedDescendants();
+  SimplifyPlan(&plan, nullptr, true, "o");
+  EXPECT_EQ(plan->kind, OpKind::kStaircaseStep);
+}
+
+TEST(StaircaseRuleTest, ContextAttributeReadAboveBlocksTheRule) {
+  // χ[k := c] above the DupElim reads the context attribute.
+  OpPtr map = MakeOp(OpKind::kMap);
+  map->attr = "k";
+  map->scalar = MakeScalar(ScalarKind::kAttrRef);
+  map->scalar->name = "c";
+  map->children.push_back(DedupedDescendants());
+  OpPtr plan = std::move(map);
+  SimplifyPlan(&plan, nullptr, true, "o");
+  EXPECT_EQ(CountKind(*plan, OpKind::kStaircaseStep), 0u);
+  EXPECT_EQ(CountKind(*plan, OpKind::kDupElim), 1u);
+
+  // The caller reading an input attribute blocks it as well.
+  OpPtr bare = DedupedDescendants();
+  SimplifyPlan(&bare, nullptr, true, "c");
+  EXPECT_EQ(CountKind(*bare, OpKind::kStaircaseStep), 0u);
+}
+
+/// Differential check of the rule: every axis it covers, over context
+/// streams that are unordered, nested, attributes (including the
+/// -or-self steps that keep an attribute context) and text nodes, on a
+/// document larger than its 16-page / 2-shard pool. Each query must
+/// agree with the interpreter and with simplify_plan = false.
+TEST(StaircaseRuleTest, AgreesWithInterpreterAndUnsimplifiedPlans) {
+  const bool was_verifying = analysis::VerificationEnabled();
+  analysis::SetVerificationEnabled(true);
+  std::string xml;
+  {
+    const std::string text(1200, 'w');
+    int id = 0;
+    std::function<std::string(int)> element = [&](int depth) {
+      const int my_id = id++;
+      const char* name = my_id % 3 == 0 ? "a" : (my_id % 3 == 1 ? "b" : "c");
+      std::string out = std::string("<") + name + " id=\"n" +
+                        std::to_string(my_id) + "\"";
+      if (my_id % 2 == 0) out += " x=\"" + std::to_string(my_id) + "\"";
+      out += ">" + text;
+      if (depth < 3) {
+        for (int i = 0; i < 4; ++i) out += element(depth + 1);
+      }
+      return out + "</" + name + ">";
+    };
+    xml = element(0);
+  }
+  Database::Options options;
+  options.buffer_pages = 16;
+  options.buffer_shards = 2;
+  auto db = Database::CreateTemp(options);
+  ASSERT_TRUE(db.ok());
+  auto info = (*db)->LoadDocument("doc", xml);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  auto dom_doc = dom::ParseDocument(xml);
+  ASSERT_TRUE(dom_doc.ok());
+
+  auto run = [&](const std::string& query,
+                 bool simplify) -> std::vector<uint64_t> {
+    translate::TranslatorOptions topts;  // improved
+    topts.simplify_plan = simplify;
+    auto compiled = (*db)->Compile(query, topts);
+    EXPECT_TRUE(compiled.ok()) << query << ": "
+                               << compiled.status().ToString();
+    if (!compiled.ok()) return {};
+    auto nodes = (*compiled)->EvaluateNodes(info->root);
+    EXPECT_TRUE(nodes.ok()) << query << ": " << nodes.status().ToString();
+    std::vector<uint64_t> out;
+    if (!nodes.ok()) return out;
+    for (const storage::StoredNode& n : *nodes) {
+      auto order = n.order();
+      EXPECT_TRUE(order.ok());
+      out.push_back(order.ok() ? *order : 0);
+    }
+    return out;
+  };
+  const char* contexts[] = {
+      "/descendant::*",                      // nested, ordered
+      "//b/preceding-sibling::*",            // unordered
+      "//*[@x]/following-sibling::*/..",     // unordered, parents
+      "//@x",                                // attributes, ordered
+      "//c/preceding-sibling::*/@*",         // attributes, unordered
+      "//text()",                            // text nodes
+      "(//@id | //text() | //b)",            // mixed union
+      "(//* | //@x)",                        // attributes in subtrees
+  };
+  const char* steps[] = {
+      "descendant::node()", "descendant-or-self::node()",
+      "descendant-or-self::*", "following::*", "preceding::node()",
+      "ancestor::*", "ancestor-or-self::node()", "ancestor-or-self::b"};
+  size_t staircase_plans = 0;
+  for (const char* ctx : contexts) {
+    for (const char* step : steps) {
+      std::string query = std::string(ctx) + "/" + step;
+      SCOPED_TRACE(query);
+      auto compiled = (*db)->Compile(query);
+      ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+      if ((*compiled)->ExplainProperties().find("StaircaseStep[") !=
+          std::string::npos) {
+        ++staircase_plans;
+      }
+      std::vector<uint64_t> rewritten = run(query, /*simplify=*/true);
+      EXPECT_EQ(rewritten, run(query, /*simplify=*/false));
+      auto oracle = interp::Evaluator::Run(dom_doc->get(), query,
+                                           (*dom_doc)->root(),
+                                           interp::EvaluatorOptions());
+      ASSERT_TRUE(oracle.ok());
+      std::vector<uint64_t> expected;
+      for (const dom::Node* n : oracle->nodes) expected.push_back(n->order);
+      EXPECT_EQ(rewritten, expected);
+    }
+  }
+  // Every query runs a staircase step except the descendant(-or-self)
+  // steps from pure attribute or text contexts, which are statically
+  // empty or provably duplicate-free already.
+  EXPECT_EQ(staircase_plans, std::size(contexts) * std::size(steps) - 8);
+  EXPECT_GT((*db)->store()->buffer_manager()->eviction_count(), 0u);
+  analysis::SetVerificationEnabled(was_verifying);
 }
 
 }  // namespace

@@ -10,9 +10,11 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include <gtest/gtest.h>
 
+#include "analysis/plan_verifier.h"
 #include "api/database.h"
 #include "base/clock.h"
 #include "gen/xdoc_generator.h"
@@ -33,9 +35,21 @@ constexpr char kBooksXml[] =
     "</catalog>";
 
 // Quadratic axis navigation over the generated document — slow enough
-// (tens of milliseconds and up) that a 1 ms deadline reliably expires
-// mid-drain and an execution slot stays visibly occupied.
-constexpr char kHeavyQuery[] = "/child::xdoc/desc::*/anc::*/desc::*/@id";
+// (tens of milliseconds and up: ~38 ms on a 4-core x86-64 container)
+// that a 1 ms deadline reliably expires mid-drain and an execution slot
+// stays visibly occupied. The predicate sits between the following step
+// and its duplicate elimination, so the step runs once per context (the
+// staircase-step rewrite needs the two adjacent).
+constexpr char kHeavyQuery[] =
+    "/child::xdoc/child::*/child::*/child::*/fol::*[@id]/@id";
+
+// Fig. 6: its last step is a staircase step draining the ancestor set
+// into a sorted spool before it produces the first tuple.
+constexpr char kStaircaseQuery[] = "/child::xdoc/desc::*/anc::*/desc::*/@id";
+
+// A positional filter over an unordered step: the Sort below the
+// counter drains the whole step output before the first tuple.
+constexpr char kSortQuery[] = "(/child::xdoc/desc::*/fol-sib::*)[last()]";
 
 struct ServerFixture {
   std::unique_ptr<Database> db;
@@ -44,9 +58,12 @@ struct ServerFixture {
   std::unique_ptr<server::Server> server;
 };
 
+ServerFixture* g_fixture = nullptr;
+
 ServerFixture& Fixture() {
   static ServerFixture* fixture = [] {
     auto* f = new ServerFixture();
+    g_fixture = f;
     auto db = Database::CreateTemp();
     EXPECT_TRUE(db.ok()) << db.status().ToString();
     f->db = std::move(db).value();
@@ -71,6 +88,55 @@ ServerFixture& Fixture() {
   }();
   return *fixture;
 }
+
+/// Stops the shared server after the last test. Shutdown joins the
+/// acceptor and connection threads, which would otherwise still run
+/// when the process exits (a thread leak under ThreadSanitizer).
+class SharedServerEnvironment : public ::testing::Environment {
+ public:
+  void TearDown() override {
+    if (g_fixture != nullptr && g_fixture->server != nullptr) {
+      g_fixture->server->Shutdown();
+    }
+  }
+};
+
+[[maybe_unused]] ::testing::Environment* const kSharedServerEnvironment =
+    ::testing::AddGlobalTestEnvironment(new SharedServerEnvironment);
+
+#if !defined(NATIX_OBS_DISABLED)
+/// Runs `query` on the fixture's xdoc to completion and then once more
+/// against an already expired deadline, with plan verification (and so
+/// the resource ledger) on. Returns the next_calls of both runs; the
+/// aborted run must end in kDeadlineExceeded — an unbalanced ledger
+/// would turn it into kInternal.
+std::pair<uint64_t, uint64_t> FullAndAbortedNextCalls(const char* query) {
+  ServerFixture& f = Fixture();
+  const bool was_verifying = analysis::VerificationEnabled();
+  analysis::SetVerificationEnabled(true);
+  auto prepared = f.db->Prepare(query);
+  EXPECT_TRUE(prepared.ok()) << prepared.status().ToString();
+  if (!prepared.ok()) return {0, 0};
+
+  auto full = (*prepared)->NewExecution(/*collect_stats=*/true);
+  EXPECT_TRUE(full.ok());
+  auto full_nodes = (*full)->EvaluateNodes(f.xdoc_root);
+  EXPECT_TRUE(full_nodes.ok()) << full_nodes.status().ToString();
+  const uint64_t full_next = (*full)->Stats()->ComputeTotals().next_calls;
+
+  auto aborted = (*prepared)->NewExecution(/*collect_stats=*/true);
+  EXPECT_TRUE(aborted.ok());
+  (*aborted)->SetDeadlineNs(1);
+  auto result = (*aborted)->EvaluateNodes(f.xdoc_root);
+  EXPECT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded)
+      << result.status().ToString();
+  const uint64_t aborted_next =
+      (*aborted)->Stats()->ComputeTotals().next_calls;
+  analysis::SetVerificationEnabled(was_verifying);
+  return {full_next, aborted_next};
+}
+#endif  // !NATIX_OBS_DISABLED
 
 std::string QueryTarget(const std::string& doc, const std::string& xpath,
                         const std::string& extra = "") {
@@ -287,6 +353,24 @@ TEST(ServerTest, DeadlineClosesPipelineEarly) {
       (*aborted)->Stats()->ComputeTotals().next_calls;
   // "Provably early": producing the first tuple costs a sliver of the
   // full drain. Factor 4 leaves headroom for plan-shape changes.
+  EXPECT_LT(aborted_next * 4, full_next)
+      << "aborted=" << aborted_next << " full=" << full_next;
+}
+
+// A blocking drain inside the plan polls the deadline itself: the
+// staircase step's context spool and Sort's row spool stop at their
+// first check instead of spooling the whole input before the result
+// drain loop could see the deadline.
+TEST(ServerTest, DeadlineAbortsStaircaseDrain) {
+  auto [full_next, aborted_next] = FullAndAbortedNextCalls(kStaircaseQuery);
+  ASSERT_GT(full_next, 0u);
+  EXPECT_LT(aborted_next * 4, full_next)
+      << "aborted=" << aborted_next << " full=" << full_next;
+}
+
+TEST(ServerTest, DeadlineAbortsSortDrain) {
+  auto [full_next, aborted_next] = FullAndAbortedNextCalls(kSortQuery);
+  ASSERT_GT(full_next, 0u);
   EXPECT_LT(aborted_next * 4, full_next)
       << "aborted=" << aborted_next << " full=" << full_next;
 }

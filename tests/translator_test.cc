@@ -81,8 +81,10 @@ TEST(TranslatorTest, ImprovedPushesDuplicateElimination) {
   // descendant-or-self (//) and ancestor are both ppd, but property
   // inference proves two of the three dedups redundant: // expands the
   // non-nested root, and child::c over the deduplicated ancestor
-  // context stays duplicate-free. Only the ancestor dedup survives.
-  EXPECT_EQ(CountOps(*result.plan, OpKind::kDupElim), 1u);
+  // context stays duplicate-free. Only the ancestor dedup is needed,
+  // and it fuses with its step into one staircase step.
+  EXPECT_EQ(CountOps(*result.plan, OpKind::kDupElim), 0u);
+  EXPECT_EQ(CountOps(*result.plan, OpKind::kStaircaseStep), 1u);
 }
 
 TEST(TranslatorTest, NoDedupForNonPpdPaths) {
