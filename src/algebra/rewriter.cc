@@ -38,8 +38,7 @@ struct SimplifyCtx {
   const OpPtr* root = nullptr;
   bool verify = false;
   bool limit_pushdown = true;
-  /// The attribute the caller reads from the root stream (empty:
-  /// unknown).
+  /// The attribute the caller reads from the root stream.
   std::string result_attr;
   std::set<std::string> outer;
   RewriteLog* log = nullptr;
@@ -330,7 +329,7 @@ size_t TryStaircaseStep(OpPtr* slot, SimplifyCtx* ctx) {
   Operator* dedup = slot->get();
   Operator* step = dedup->children[0].get();
   if (step->kind != OpKind::kUnnestMap || step->attr != dedup->attr ||
-      !StaircaseAxis(step->axis) || ctx->result_attr.empty()) {
+      !StaircaseAxis(step->axis)) {
     return 0;
   }
   const Operator& input = *step->children[0];
@@ -593,8 +592,8 @@ size_t SimplifyScalar(Scalar* scalar, SimplifyCtx* ctx) {
 
 }  // namespace
 
-size_t SimplifyPlan(OpPtr* plan, RewriteLog* log, bool limit_pushdown,
-                    const std::string& result_attr) {
+size_t SimplifyPlan(OpPtr* plan, const std::string& result_attr,
+                    RewriteLog* log, bool limit_pushdown) {
   obs::ScopedSpan span("compile/rewrite");
   SimplifyCtx ctx;
   ctx.root = plan;
@@ -604,9 +603,9 @@ size_t SimplifyPlan(OpPtr* plan, RewriteLog* log, bool limit_pushdown,
   return SimplifyNode(plan, &ctx);
 }
 
-StatusOr<size_t> SimplifyPlanChecked(OpPtr* plan, RewriteLog* log,
-                                     bool limit_pushdown,
-                                     const std::string& result_attr) {
+StatusOr<size_t> SimplifyPlanChecked(OpPtr* plan,
+                                     const std::string& result_attr,
+                                     RewriteLog* log, bool limit_pushdown) {
   obs::ScopedSpan span("compile/rewrite");
   SimplifyCtx ctx;
   ctx.root = plan;

@@ -70,15 +70,14 @@ using RewriteLog = std::vector<RewriteEvent>;
 ///  * turns a duplicate elimination directly over a descendant(-or-self),
 ///    following, preceding or ancestor(-or-self) step into one staircase
 ///    step over the whole context set ("staircase-step") when nothing
-///    reads the step input's attributes afterwards. `result_attr` is the
-///    attribute the caller reads from the root stream; while it is empty
-///    (unknown) the rule stays off.
-/// Returns the number of operators removed or replaced; each rule
+///    reads the step input's attributes afterwards.
+/// `result_attr` is the attribute the caller reads from the root stream
+/// (TranslationResult::result_attr); it counts as read above every
+/// operator. Returns the number of operators removed or replaced; each rule
 /// application is appended to `log` (when non-null) with the proving
 /// property. Also rewrites nested subplans inside scalar subscripts.
-size_t SimplifyPlan(OpPtr* plan, RewriteLog* log = nullptr,
-                    bool limit_pushdown = true,
-                    const std::string& result_attr = std::string());
+size_t SimplifyPlan(OpPtr* plan, const std::string& result_attr,
+                    RewriteLog* log = nullptr, bool limit_pushdown = true);
 
 /// Like SimplifyPlan, but when plan verification is enabled
 /// (analysis::VerificationEnabled — on by default in debug builds) every
@@ -89,9 +88,10 @@ size_t SimplifyPlan(OpPtr* plan, RewriteLog* log = nullptr,
 /// class). A violation aborts rewriting and names the offending rule,
 /// instead of letting a malformed or semantics-changing plan flow on to
 /// code generation.
-StatusOr<size_t> SimplifyPlanChecked(
-    OpPtr* plan, RewriteLog* log = nullptr, bool limit_pushdown = true,
-    const std::string& result_attr = std::string());
+StatusOr<size_t> SimplifyPlanChecked(OpPtr* plan,
+                                     const std::string& result_attr,
+                                     RewriteLog* log = nullptr,
+                                     bool limit_pushdown = true);
 
 }  // namespace natix::algebra
 

@@ -245,6 +245,9 @@ class StaircaseStepIterator : public Iterator {
   bool streaming_;
 
   storage::NodeAccessor accessor_;
+  /// Reads the contexts' own headers, so that the accessor climbing
+  /// from a context keeps its cached page.
+  storage::NodeAccessor context_accessor_;
   runtime::AxisCursor cursor_;
   bool cursor_active_ = false;
   bool navigating_ = false;

@@ -40,6 +40,7 @@ void StaircaseStepIterator::ReleaseNavigation() {
   // Reassignment drops the page pins the cursor and the accessor cache.
   cursor_ = runtime::AxisCursor(state_->eval_ctx.store);
   accessor_ = storage::NodeAccessor(state_->eval_ctx.store);
+  context_accessor_ = storage::NodeAccessor(state_->eval_ctx.store);
 }
 
 void StaircaseStepIterator::DropSpool() {
@@ -270,7 +271,8 @@ Status StaircaseStepIterator::NextAncestor(bool* has) {
     if (or_self) {
       climb_ = ctx.node_id();
     } else {
-      NATIX_RETURN_IF_ERROR(accessor_.ReadHeader(ctx.node_id(), &header));
+      NATIX_RETURN_IF_ERROR(
+          context_accessor_.ReadHeader(ctx.node_id(), &header));
       climb_ = header.parent;
     }
   }

@@ -749,8 +749,8 @@ StatusOr<TranslationResult> Translate(const xpath::Expr& root,
     // The checked simplifier re-verifies after every rule application
     // (when verification is enabled) and names the offending rule.
     NATIX_RETURN_IF_ERROR(algebra::SimplifyPlanChecked(
-                              &result.plan, &result.rewrites,
-                              options.limit_pushdown, result.result_attr)
+                              &result.plan, result.result_attr,
+                              &result.rewrites, options.limit_pushdown)
                               .status());
   }
   if (options.result_limit > 0 && result.type == ExprType::kNodeSet) {

@@ -184,7 +184,8 @@ TEST(LogicalVerifierTest, SimplifyPlanCheckedAcceptsRealPlans) {
   bool was_enabled = VerificationEnabled();
   SetVerificationEnabled(true);
   auto result = Translate("//a[b]/c[1]");
-  auto removed = algebra::SimplifyPlanChecked(&result.plan);
+  auto removed =
+      algebra::SimplifyPlanChecked(&result.plan, result.result_attr);
   EXPECT_TRUE(removed.ok());
   SetVerificationEnabled(was_enabled);
 }

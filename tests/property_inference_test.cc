@@ -276,7 +276,7 @@ TEST(PropertyInferenceTest, StaticallyEmptyCompositionPropagates) {
 
 TEST(PropertyInferenceTest, EmptyPlanPrunesToSelectFalseMarker) {
   auto result = Translate("/a/@x/b");
-  size_t removed = algebra::SimplifyPlan(&result.plan);
+  size_t removed = algebra::SimplifyPlan(&result.plan, result.result_attr);
   EXPECT_GE(removed, 1u);
   // The canonical statically-empty marker survives as the plan.
   PlanProperties props = InferPlanProperties(*result.plan);

@@ -48,7 +48,7 @@ TEST(RewriterTest, ChildStepAfterDedupIsDuplicateFree) {
   // Before: dedup after the ppd // step AND a final dedup.
   EXPECT_EQ(CountKind(*result.plan, OpKind::kDupElim), 2u);
   RewriteLog log;
-  size_t removed = SimplifyPlan(&result.plan, &log);
+  size_t removed = SimplifyPlan(&result.plan, result.result_attr, &log);
   // Both are provably redundant: descendant-or-self expands the
   // non-nested document root (inherently duplicate-free), and the child
   // step runs over that deduplicated context.
@@ -65,7 +65,7 @@ TEST(RewriterTest, ChildStepAfterDedupIsDuplicateFree) {
 TEST(RewriterTest, DescendantOverNonNestedContextDedupIsRemoved) {
   auto result = TranslateNoSimplify("/a/descendant::b");
   EXPECT_EQ(CountKind(*result.plan, OpKind::kDupElim), 1u);
-  size_t removed = SimplifyPlan(&result.plan);
+  size_t removed = SimplifyPlan(&result.plan, result.result_attr);
   // /a elements are siblings (children of the root), hence non-nested:
   // their descendant sets are disjoint, so the dedup is redundant.
   EXPECT_EQ(removed, 1u);
@@ -75,17 +75,18 @@ TEST(RewriterTest, DescendantOverNonNestedContextDedupIsRemoved) {
 TEST(RewriterTest, DescendantOverNestedContextDedupIsKept) {
   auto result = TranslateNoSimplify("//a/descendant::b");
   size_t before = CountKind(*result.plan, OpKind::kDupElim);
-  SimplifyPlan(&result.plan);
+  SimplifyPlan(&result.plan, result.result_attr);
   // //a contexts can nest, so distinct contexts may share descendants:
-  // the dedup after descendant::b must survive.
-  EXPECT_GE(CountKind(*result.plan, OpKind::kDupElim), 1u);
+  // the dedup after descendant::b must survive. It does as the staircase
+  // step, which eliminates the duplicates by pruning nested contexts.
+  EXPECT_EQ(CountKind(*result.plan, OpKind::kStaircaseStep), 1u);
   EXPECT_LT(CountKind(*result.plan, OpKind::kDupElim), before);
 }
 
 TEST(RewriterTest, UnionDedupIsKept) {
   auto result = TranslateNoSimplify("a | b");
   size_t before = CountKind(*result.plan, OpKind::kDupElim);
-  SimplifyPlan(&result.plan);
+  SimplifyPlan(&result.plan, result.result_attr);
   EXPECT_EQ(CountKind(*result.plan, OpKind::kDupElim), before);
   EXPECT_EQ(result.plan->kind, OpKind::kDupElim);
 }
@@ -127,7 +128,7 @@ TEST(RewriterTest, ConstantTrueSelectionFoldsAway) {
   // true() folds to a boolean literal, the predicate becomes sigma_true.
   auto result = TranslateNoSimplify("a[true()]");
   EXPECT_EQ(CountKind(*result.plan, OpKind::kSelect), 1u);
-  size_t removed = SimplifyPlan(&result.plan);
+  size_t removed = SimplifyPlan(&result.plan, result.result_attr);
   EXPECT_EQ(removed, 1u);
   EXPECT_EQ(CountKind(*result.plan, OpKind::kSelect), 0u);
 }
@@ -137,7 +138,7 @@ TEST(RewriterTest, SortOnOrderedInputIsRemoved) {
   // order: the positional filter expression needs no sort.
   auto result = TranslateNoSimplify("(/a/b/c)[2]");
   EXPECT_EQ(CountKind(*result.plan, OpKind::kSort), 1u);
-  size_t removed = SimplifyPlan(&result.plan);
+  size_t removed = SimplifyPlan(&result.plan, result.result_attr);
   EXPECT_GE(removed, 1u);
   EXPECT_EQ(CountKind(*result.plan, OpKind::kSort), 0u);
 }
@@ -145,7 +146,7 @@ TEST(RewriterTest, SortOnOrderedInputIsRemoved) {
 TEST(RewriterTest, SortOnDescendantsIsRemoved) {
   // /descendant::a from the root is emitted in document order.
   auto result = TranslateNoSimplify("(/descendant::a)[last()]");
-  SimplifyPlan(&result.plan);
+  SimplifyPlan(&result.plan, result.result_attr);
   EXPECT_EQ(CountKind(*result.plan, OpKind::kSort), 0u);
 }
 
@@ -154,25 +155,25 @@ TEST(RewriterTest, SortAfterChildOfNestedContextsIsKept) {
   // interleave, so the sort must stay.
   auto result = TranslateNoSimplify("(//a/b)[1]");
   EXPECT_EQ(CountKind(*result.plan, OpKind::kSort), 1u);
-  SimplifyPlan(&result.plan);
+  SimplifyPlan(&result.plan, result.result_attr);
   EXPECT_EQ(CountKind(*result.plan, OpKind::kSort), 1u);
 }
 
 TEST(RewriterTest, SortAfterUnionIsKept) {
   auto result = TranslateNoSimplify("(/a/b | /a/c)[1]");
-  SimplifyPlan(&result.plan);
+  SimplifyPlan(&result.plan, result.result_attr);
   EXPECT_EQ(CountKind(*result.plan, OpKind::kSort), 1u);
 }
 
 TEST(RewriterTest, SortAfterReverseAxisIsKept) {
   auto result = TranslateNoSimplify("(/a/b/ancestor::*)[1]");
-  SimplifyPlan(&result.plan);
+  SimplifyPlan(&result.plan, result.result_attr);
   EXPECT_EQ(CountKind(*result.plan, OpKind::kSort), 1u);
 }
 
 TEST(RewriterTest, AttributeStepsKeepDocumentOrder) {
   auto result = TranslateNoSimplify("(/a/b/@x)[2]");
-  SimplifyPlan(&result.plan);
+  SimplifyPlan(&result.plan, result.result_attr);
   EXPECT_EQ(CountKind(*result.plan, OpKind::kSort), 0u);
 }
 
@@ -180,12 +181,15 @@ TEST(RewriterTest, SortAfterDescendantUnderFollowingSiblingIsKept) {
   // following-sibling over a many-node context emits per-context runs
   // that interleave, and distinct contexts share siblings: neither
   // order nor duplicate-freedom can be claimed, so both the dedup and
-  // the sort must survive (the unsound-removal regression case).
-  auto result =
-      TranslateNoSimplify("(/a/b/following-sibling::*/descendant::c)[1]");
+  // the sort must survive (the unsound-removal regression case). The
+  // predicate keeps the per-context descendant step; without it the
+  // staircase step takes its place and orders its own output
+  // (StaircaseRuleTest.StaircaseStepOutputNeedsNoSort).
+  auto result = TranslateNoSimplify(
+      "(/a/b/following-sibling::*/descendant::c[@x])[1]");
   size_t sorts = CountKind(*result.plan, OpKind::kSort);
   ASSERT_GE(sorts, 1u);
-  SimplifyPlan(&result.plan);
+  SimplifyPlan(&result.plan, result.result_attr);
   EXPECT_EQ(CountKind(*result.plan, OpKind::kSort), sorts);
   EXPECT_GE(CountKind(*result.plan, OpKind::kDupElim), 1u);
 }
@@ -208,7 +212,7 @@ TEST(RewriterTest, ImprovedDefaultsSimplify) {
 TEST(RewriterTest, CheckedSimplifyAcceptsItsOwnRewrites) {
   auto result = TranslateNoSimplify("(//a/b)[1]");
   RewriteLog log;
-  auto removed = SimplifyPlanChecked(&result.plan, &log);
+  auto removed = SimplifyPlanChecked(&result.plan, result.result_attr, &log);
   ASSERT_TRUE(removed.ok()) << removed.status().ToString();
   EXPECT_GE(*removed, 1u);
 }
@@ -221,8 +225,7 @@ TEST(RewriterTest, CheckedSimplifyAcceptsItsOwnRewrites) {
 /// known (as Translate does), returning the rewrite log.
 RewriteLog SimplifyWithResult(translate::TranslationResult* result) {
   RewriteLog log;
-  SimplifyPlan(&result->plan, &log, /*limit_pushdown=*/true,
-               result->result_attr);
+  SimplifyPlan(&result->plan, result->result_attr, &log);
   return log;
 }
 
@@ -267,9 +270,7 @@ TEST(StaircaseRuleTest, CheckedRewriteVerifies) {
   auto result =
       TranslateNoSimplify("/child::xdoc/desc::*/anc::*/desc::*/@id");
   RewriteLog log;
-  auto removed = SimplifyPlanChecked(&result.plan, &log,
-                                     /*limit_pushdown=*/true,
-                                     result.result_attr);
+  auto removed = SimplifyPlanChecked(&result.plan, result.result_attr, &log);
   ASSERT_TRUE(removed.ok()) << removed.status().ToString();
   EXPECT_EQ(CountRule(log, "staircase-step"), 2u);
   // The justification names the input attributes it proved unread.
@@ -279,10 +280,17 @@ TEST(StaircaseRuleTest, CheckedRewriteVerifies) {
   }
 }
 
-TEST(StaircaseRuleTest, StaysOffWithoutResultAttribute) {
-  auto result = TranslateNoSimplify("/child::xdoc/desc::*/anc::*/@id");
-  SimplifyPlan(&result.plan);
-  EXPECT_EQ(CountKind(*result.plan, OpKind::kStaircaseStep), 0u);
+TEST(StaircaseRuleTest, StaircaseStepOutputNeedsNoSort) {
+  // The descendant step over unordered, overlapping following-sibling
+  // contexts becomes a staircase step, which sorts and prunes its
+  // contexts and so emits document order: dedup and sort both go.
+  auto result =
+      TranslateNoSimplify("(/a/b/following-sibling::*/descendant::c)[1]");
+  ASSERT_GE(CountKind(*result.plan, OpKind::kSort), 1u);
+  RewriteLog log = SimplifyWithResult(&result);
+  EXPECT_EQ(CountRule(log, "staircase-step"), 1u);
+  EXPECT_EQ(CountKind(*result.plan, OpKind::kStaircaseStep), 1u);
+  EXPECT_EQ(CountKind(*result.plan, OpKind::kSort), 0u);
 }
 
 TEST(StaircaseRuleTest, PerContextOperatorsKeepThePerContextStep) {
@@ -328,7 +336,7 @@ OpPtr DedupedDescendants() {
 
 TEST(StaircaseRuleTest, FiresWhenOnlyTheStepOutputIsRead) {
   OpPtr plan = DedupedDescendants();
-  SimplifyPlan(&plan, nullptr, true, "o");
+  SimplifyPlan(&plan, "o");
   EXPECT_EQ(plan->kind, OpKind::kStaircaseStep);
 }
 
@@ -340,13 +348,13 @@ TEST(StaircaseRuleTest, ContextAttributeReadAboveBlocksTheRule) {
   map->scalar->name = "c";
   map->children.push_back(DedupedDescendants());
   OpPtr plan = std::move(map);
-  SimplifyPlan(&plan, nullptr, true, "o");
+  SimplifyPlan(&plan, "o");
   EXPECT_EQ(CountKind(*plan, OpKind::kStaircaseStep), 0u);
   EXPECT_EQ(CountKind(*plan, OpKind::kDupElim), 1u);
 
   // The caller reading an input attribute blocks it as well.
   OpPtr bare = DedupedDescendants();
-  SimplifyPlan(&bare, nullptr, true, "c");
+  SimplifyPlan(&bare, "c");
   EXPECT_EQ(CountKind(*bare, OpKind::kStaircaseStep), 0u);
 }
 
